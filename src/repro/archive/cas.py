@@ -27,16 +27,21 @@ digest can legally disagree.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from contextlib import AbstractContextManager, nullcontext
+from typing import Any, Iterator, Sequence
 
 from repro.errors import FixityError, ObjectMissingError
 from repro.hashing import sha256_hex
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
 
-__all__ = ["ContentAddressedStore", "ObjectStat"]
+__all__ = ["ContentAddressedStore", "ObjectStat", "PutItem"]
 
 _OBJECTS = "cas_objects"
+
+#: one :meth:`ContentAddressedStore.put_many` item:
+#: ``(digest, payload, media_type)``
+PutItem = tuple[str, str, str]
 
 
 class ObjectStat:
@@ -106,20 +111,51 @@ class ContentAddressedStore:
         """Store ``payload``; returns its digest.  Re-putting an
         existing payload deduplicates (one blob, ``refs`` + 1)."""
         digest = sha256_hex(payload)
-        existing = self._row(digest)
-        if existing is not None:
-            rowid = self.database.rowid_for(_OBJECTS, digest)
-            self.database.update(_OBJECTS, rowid,
-                                 {"refs": existing["refs"] + 1})
-            return digest
-        self.database.insert(_OBJECTS, {
-            "digest": digest,
-            "size_bytes": len(payload.encode("utf-8")),
-            "media_type": media_type,
-            "refs": 1,
-            "payload": payload,
-        })
+        self.put_many([(digest, payload, media_type)])
         return digest
+
+    def put_many(self, items: Sequence[PutItem]) -> list[bool]:
+        """Store a batch of ``(digest, payload, media_type)`` items, where
+        each digest is :func:`~repro.hashing.sha256_hex` of its payload
+        (callers hash once and hand the same items to every replica).
+
+        Returns, per item, whether it stored a new blob; ``False`` means
+        it deduplicated against an existing object or an earlier item of
+        the batch (``refs`` + 1 either way).  New blobs land in one
+        :meth:`~repro.storage.Database.bulk_load`; the ``refs`` bumps
+        join it in one transaction, so a failed call leaves the store
+        unchanged and a retry can never bump ``refs`` twice.
+        """
+        known = self.database.rowids_for(
+            _OBJECTS, dict.fromkeys(digest for digest, __, __ in items))
+        fresh: dict[str, tuple[str, str]] = {}
+        refs: dict[str, int] = {}
+        stored: list[bool] = []
+        for digest, payload, media_type in items:
+            new = digest not in known and digest not in fresh
+            if new:
+                fresh[digest] = (payload, media_type)
+            refs[digest] = refs.get(digest, 0) + 1
+            stored.append(new)
+        atomic: AbstractContextManager[Any] = (
+            self.database.transaction()
+            if known and not self.database.in_transaction()
+            else nullcontext())
+        with atomic:
+            if fresh:
+                self.database.bulk_load(_OBJECTS, (
+                    {"digest": digest,
+                     "size_bytes": len(payload.encode("utf-8")),
+                     "media_type": media_type,
+                     "refs": refs[digest],
+                     "payload": payload}
+                    for digest, (payload, media_type) in fresh.items()
+                ))
+            table = self.database.table(_OBJECTS)
+            for digest, rowid in known.items():
+                self.database.update(_OBJECTS, rowid, {
+                    "refs": table.row_by_id(rowid)["refs"] + refs[digest]})
+        return stored
 
     # ------------------------------------------------------------------
     # reads
@@ -173,12 +209,29 @@ class ContentAddressedStore:
     def digests(self) -> list[str]:
         return sorted(self.database.query(_OBJECTS).values("digest"))
 
+    def _scan(self) -> Iterator[dict[str, Any]]:
+        """Every stored row, one copy at a time: a single pass over the
+        table that never materialises the whole store."""
+        return self.database.table(_OBJECTS).rows()
+
     def objects(self) -> Iterator[ObjectStat]:
-        for digest in self.digests():
-            yield self.stat(digest)
+        """Every object's metadata, by digest, from one scan."""
+        stats = [ObjectStat(row["digest"], row["size_bytes"],
+                            row["media_type"], row["refs"])
+                 for row in self._scan()]
+        stats.sort(key=lambda stat: stat.digest)
+        yield from stats
 
     def total_bytes(self) -> int:
-        return sum(stat.size_bytes for stat in self.objects())
+        return sum(row["size_bytes"] for row in self._scan())
+
+    def fixity_scan(self) -> Iterator[tuple[str, int, bool]]:
+        """One pass re-hashing every object: ``(digest, size_bytes,
+        intact)`` per object, where ``intact`` means the bytes still hash
+        to the digest (what :meth:`verify` answers for one object)."""
+        for row in self._scan():
+            yield (row["digest"], row["size_bytes"],
+                   sha256_hex(row["payload"]) == row["digest"])
 
     # ------------------------------------------------------------------
     # corruption injection (tests, fire drills)

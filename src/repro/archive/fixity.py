@@ -145,21 +145,11 @@ class FixityAuditor:
         self._sweeps += 1
         run_id = f"fixity/sweep-{self._sweeps:04d}"
         started = self.clock.now()
-        catalog = list(digests) if digests is not None \
-            else self.group.digests()
-
-        statuses: list[ReplicaStatus] = []
-        bytes_audited = 0
-        for digest in catalog:
-            status = self.group.replica_status(digest)
-            statuses.append(status)
-            for member in self.group.stores:
-                if member.exists(digest):
-                    bytes_audited += member.stat(digest).size_bytes
+        statuses, bytes_audited = self.group.survey(digests)
         report = AuditReport(run_id, statuses, bytes_audited)
 
         trace = WorkflowTrace(run_id, AUDIT_WORKFLOW, started)
-        trace.inputs = {"objects": len(catalog),
+        trace.inputs = {"objects": len(statuses),
                         "stores": [s.name for s in self.group.stores]}
         for member in self.group.stores:
             store_started = self.clock.now()

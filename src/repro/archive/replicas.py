@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.errors import ArchiveError, QuorumError
-from repro.archive.cas import ContentAddressedStore
+from repro.archive.cas import ContentAddressedStore, PutItem
+from repro.hashing import sha256_hex
 
 __all__ = ["ReplicaGroup", "ReplicaStatus", "RepairAction"]
 
@@ -164,14 +165,25 @@ class ReplicaGroup:
     def put(self, payload: str,
             media_type: str = "application/json") -> str:
         """Write ``payload`` to every member store; returns the digest."""
-        digest = ""
-        for member in self.stores:
+        digest = sha256_hex(payload)
+        self.put_many([(digest, payload, media_type)])
+        return digest
+
+    def put_many(self, items: Sequence[PutItem]) -> list[bool]:
+        """Write a batch of ``(digest, payload, media_type)`` items to
+        every member store, one atomic
+        :meth:`~repro.archive.cas.ContentAddressedStore.put_many` per
+        store (retried with backoff).  Returns the first store's
+        per-item "stored a new blob" flags."""
+        stored: list[bool] = []
+        for position, member in enumerate(self.stores):
             result, __, __ = self._with_retry(
-                lambda m=member: m.put(payload, media_type=media_type),
+                lambda m=member: m.put_many(items),
                 f"put on {member.name}",
             )
-            digest = result
-        return digest
+            if position == 0:
+                stored = result
+        return stored
 
     # ------------------------------------------------------------------
     # reads
@@ -228,16 +240,46 @@ class ReplicaGroup:
                 states[member.name] = CORRUPT
         return ReplicaStatus(digest, states)
 
+    def survey(self, digests: Sequence[str] | None = None
+               ) -> tuple[list[ReplicaStatus], int]:
+        """Every object's health (or that of ``digests``) plus the bytes
+        its stored copies hold, from one
+        :meth:`~repro.archive.cas.ContentAddressedStore.fixity_scan` per
+        member store."""
+        scans = {
+            member.name: {digest: (size, intact)
+                          for digest, size, intact in member.fixity_scan()}
+            for member in self.stores
+        }
+        catalog = list(digests) if digests is not None \
+            else sorted(set().union(*scans.values()))
+        statuses: list[ReplicaStatus] = []
+        stored_bytes = 0
+        for digest in catalog:
+            states: dict[str, str] = {}
+            for name, found in scans.items():
+                entry = found.get(digest)
+                if entry is None:
+                    states[name] = MISSING
+                else:
+                    states[name] = OK if entry[1] else CORRUPT
+                    stored_bytes += entry[0]
+            statuses.append(ReplicaStatus(digest, states))
+        return statuses, stored_bytes
+
     def replica_lag(self) -> dict[str, int]:
         """Per store: objects in the group the store lacks a *healthy*
-        copy of (the repair backlog)."""
-        catalog = self.digests()
-        lag: dict[str, int] = {}
+        copy of (the repair backlog), from one scan per store."""
+        # streams each scan rather than holding every store's (as
+        # survey() does): after an ingest this runs at the memory peak
+        catalog: set[str] = set()
+        intact: dict[str, int] = {}
         for member in self.stores:
-            lag[member.name] = sum(
-                1 for digest in catalog if not member.verify(digest)
-            )
-        return lag
+            intact[member.name] = 0
+            for digest, __, ok in member.fixity_scan():
+                catalog.add(digest)
+                intact[member.name] += ok
+        return {name: len(catalog) - count for name, count in intact.items()}
 
     # ------------------------------------------------------------------
     # repair

@@ -27,9 +27,10 @@ All four paths are instrumented through
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from collections import Counter
+from typing import Any, Iterable, Iterator, Sequence
 
-from repro.archive.cas import ContentAddressedStore
+from repro.archive.cas import ContentAddressedStore, PutItem
 from repro.archive.clock import TickClock
 from repro.archive.fixity import AuditReport, FixityAuditor
 from repro.archive.migration import (
@@ -191,14 +192,23 @@ class PreservationVault:
     # manifest helpers
     # ------------------------------------------------------------------
 
-    def _upsert_manifest(self, row: dict[str, Any]) -> None:
-        existing = self.catalog.query(_MANIFEST).where(
-            col("object_id") == row["object_id"]
-        ).first()
-        if existing is None:
-            self.catalog.insert(_MANIFEST, row)
-        else:
-            rowid = self.catalog.rowid_for(_MANIFEST, row["object_id"])
+    def _upsert_manifest(self, rows: Iterable[dict[str, Any]]) -> None:
+        """Insert-or-replace manifest rows by ``object_id``: new ids
+        stream into one bulk load, known ones are then updated in
+        place."""
+        known: list[tuple[int, dict[str, Any]]] = []
+
+        def fresh() -> Iterator[dict[str, Any]]:
+            for row in rows:
+                found = self.catalog.rowids_for(_MANIFEST,
+                                                [row["object_id"]])
+                if found:
+                    known.append((found[row["object_id"]], row))
+                else:
+                    yield row
+
+        self.catalog.bulk_load(_MANIFEST, fresh())
+        for rowid, row in known:
             self.catalog.update(_MANIFEST, rowid, row)
 
     def manifest(self, kind: str | None = None,
@@ -241,58 +251,64 @@ class PreservationVault:
                 provenance=provenance_source,
                 documentation=documentation,
             )
-            new_objects = deduplicated = logical_bytes = 0
+            # the package, then one object per preserved record;
+            # entries are (object id, kind, format)
+            payloads = [canonical_json({"subject": package.subject,
+                                        "level": int(level),
+                                        "contents": package.contents})]
+            entries: list[tuple[str, str, str | None]] = [
+                (f"package/{collection.name}/level{int(level)}",
+                 "package", None)]
+            for row in package.contents.get(
+                    "records",
+                    package.contents.get("simplified_records", ())):
+                payloads.append(canonical_json(row))
+                entries.append((f"record/{collection.name}/{row['record_id']}",
+                                "record", row.get("sound_file_format")))
+            items: list[PutItem] = []
+            sizes: list[int] = []
+            for payload in payloads:
+                data = payload.encode("utf-8")
+                items.append((sha256_hex(data), payload, "application/json"))
+                sizes.append(len(data))
+            stored = self.group.put_many(items)
 
-            def _store(payload: str, object_id: str, kind: str,
-                       fmt: str | None) -> str:
-                nonlocal new_objects, deduplicated, logical_bytes
-                known = self.group.stores[0].exists(sha256_hex(payload))
-                digest = self.group.put(payload)
-                size = len(payload.encode("utf-8"))
-                if known:
-                    deduplicated += 1
-                    metrics.counter("vault_objects_deduplicated_total").inc()
-                else:
-                    new_objects += 1
-                    logical_bytes += size
-                    metrics.counter("vault_objects_ingested_total",
-                                    kind=kind).inc()
-                    metrics.counter("vault_bytes_ingested_total").inc(size)
-                    metrics.histogram("vault_object_bytes",
-                                      buckets=_SIZE_BUCKETS).observe(size)
-                self._upsert_manifest({
-                    "object_id": object_id,
-                    "digest": digest,
-                    "kind": kind,
-                    "collection": collection.name,
-                    "level": int(level),
-                    "format": fmt,
-                    "source_digest": None,
-                    "superseded": 0,
-                })
-                if self.federation is not None:
+            new_sizes = [size for size, new in zip(sizes, stored) if new]
+            new_kinds = Counter(kind for (__, kind, __), new
+                                in zip(entries, stored) if new)
+            for kind, count in new_kinds.items():
+                metrics.counter("vault_objects_ingested_total",
+                                kind=kind).inc(count)
+            if new_sizes:
+                metrics.counter("vault_bytes_ingested_total").inc(
+                    sum(new_sizes))
+                histogram = metrics.histogram("vault_object_bytes",
+                                              buckets=_SIZE_BUCKETS)
+                for size in new_sizes:
+                    histogram.observe(size)
+            deduplicated = len(stored) - len(new_sizes)
+            if deduplicated:
+                metrics.counter("vault_objects_deduplicated_total").inc(
+                    deduplicated)
+
+            self._upsert_manifest({
+                "object_id": object_id,
+                "digest": digest,
+                "kind": kind,
+                "collection": collection.name,
+                "level": int(level),
+                "format": fmt,
+                "source_digest": None,
+                "superseded": 0,
+            } for (digest, __, __), (object_id, kind, fmt)
+                in zip(items, entries))
+            if self.federation is not None:
+                for payload in payloads:
                     self.federation.store(payload, level=int(level))
-                return digest
-
-            package_digest = _store(
-                canonical_json({"subject": package.subject,
-                                "level": int(level),
-                                "contents": package.contents}),
-                f"package/{collection.name}/level{int(level)}",
-                "package", None,
-            )
-            rows = package.contents.get(
-                "records", package.contents.get("simplified_records", ()))
-            records = 0
-            for row in rows:
-                records += 1
-                _store(canonical_json(row),
-                       f"record/{collection.name}/{row['record_id']}",
-                       "record", row.get("sound_file_format"))
             self._refresh_lag_gauges()
-            return IngestReport(collection.name, level, package_digest,
-                                records, new_objects, deduplicated,
-                                logical_bytes)
+            return IngestReport(collection.name, level, items[0][0],
+                                len(items) - 1, len(new_sizes),
+                                deduplicated, sum(new_sizes))
 
     # ------------------------------------------------------------------
     # verify / repair
@@ -368,7 +384,7 @@ class PreservationVault:
                 ).first()
                 collection = source_row["collection"] if source_row \
                     else self.name
-                self._upsert_manifest({
+                self._upsert_manifest([{
                     "object_id": (f"{migration['object_id']}"
                                   f"/migrated-"
                                   f"{migration['to_format'].lower()}"),
@@ -379,7 +395,7 @@ class PreservationVault:
                     "format": migration["to_format"],
                     "source_digest": migration["source_digest"],
                     "superseded": 0,
-                })
+                }])
                 if source_row is not None:
                     rowid = self.catalog.rowid_for(
                         _MANIFEST, migration["object_id"])

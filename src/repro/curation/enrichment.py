@@ -60,11 +60,10 @@ class EnvironmentalEnricher:
 
     def run(self) -> EnrichmentReport:
         report = EnrichmentReport()
-        for original in self.collection.records():
+        # Work on the curated view so freshly-approved geocoding
+        # results count as "location defined".
+        for record in self.history.curated_records():
             report.records_scanned += 1
-            # Work on the curated view so freshly-approved geocoding
-            # results count as "location defined".
-            record = self.history.curated_record(original.record_id)
             coordinates = record.coordinates
             if coordinates is None:
                 report.not_located += 1

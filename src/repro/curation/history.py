@@ -16,7 +16,7 @@ back over the original.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import CurationError
 from repro.sounds.collection import RECORDINGS, SoundCollection
@@ -183,16 +183,20 @@ class CurationHistory:
         The original row in ``recordings`` is untouched; this view is
         recomputed from the log on every call.
         """
-        record = self.collection.record(record_id)
-        changes: dict[str, Any] = {}
-        for change in self.changes(record_id=record_id, status="approved"):
-            changes[change.field] = _coerce_back(record, change.field,
-                                                 change.new_value)
-        return record.replace(**changes) if changes else record
+        return _curated(
+            self.collection.record(record_id),
+            self.changes(record_id=record_id, status="approved"),
+        )
 
     def curated_records(self) -> Iterator[SoundRecord]:
+        """Every record's curated view, as :meth:`curated_record` gives
+        it: one read of the approved changes grouped by record, then one
+        pass over the collection."""
+        approved: dict[int, list[ProposedChange]] = {}
+        for change in self.changes(status="approved"):
+            approved.setdefault(change.record_id, []).append(change)
         for record in self.collection.records():
-            yield self.curated_record(record.record_id)
+            yield _curated(record, approved.get(record.record_id, ()))
 
     def summary(self) -> dict[str, int]:
         counts = {status: 0 for status in _STATUSES}
@@ -200,6 +204,17 @@ class CurationHistory:
             counts[row["status"]] += 1
         counts["total"] = len(self)
         return counts
+
+
+def _curated(record: SoundRecord,
+             approved: Iterable[ProposedChange]) -> SoundRecord:
+    """``record`` with ``approved`` (in change-id order, so the last
+    change to a field wins) applied."""
+    changes = {
+        change.field: _coerce_back(record, change.field, change.new_value)
+        for change in approved
+    }
+    return record.replace(**changes) if changes else record
 
 
 def _coerce_back(record: SoundRecord, field: str, value: Any) -> Any:

@@ -172,10 +172,11 @@ class Database:
                 table.restore_delete(rowid)
                 raise
             self._record_mutation(table_name, "insert", rowid, None, row)
-            self._journal_write({
-                "op": "insert", "table": table_name, "rowid": rowid,
-                "row": encode_row(table.schema, row),
-            })
+            if self._journal is not None:
+                self._journal_write({
+                    "op": "insert", "table": table_name, "rowid": rowid,
+                    "row": encode_row(table.schema, row),
+                })
             return rowid
 
     def insert_many(self, table_name: str,
@@ -210,7 +211,6 @@ class Database:
                     table.restore_delete(rowid)
                 raise
             transaction = self._current_transaction()
-            encoded = []
             if transaction is None and rowids:
                 # one commit sequence for the whole batch: the batch is
                 # atomic and becomes visible to snapshots as one unit
@@ -219,18 +219,18 @@ class Database:
                 for rowid, row in zip(rowids, prepared):
                     if watched or rowid in table._history:
                         table.note_committed(rowid, None, dict(row), seq)
-            for rowid, row in zip(rowids, prepared):
-                if transaction is not None:
+            if transaction is not None:
+                for rowid, row in zip(rowids, prepared):
                     self._claim_row(table, rowid, before=None)
                     transaction.record(table_name, "insert", rowid, None,
                                        dict(row))
-                encoded.append(
-                    {"rowid": rowid, "row": encode_row(table.schema, row)}
-                )
-            if encoded:
+            if self._journal is not None and rowids:
                 self._journal_write({
                     "op": "bulk_insert", "table": table_name,
-                    "rows": encoded,
+                    "rows": [
+                        {"rowid": rowid, "row": encode_row(table.schema, row)}
+                        for rowid, row in zip(rowids, prepared)
+                    ],
                 })
             self._maybe_prune()
             return rowids
@@ -253,10 +253,11 @@ class Database:
                 table.restore_update(rowid, before)
                 raise
             self._record_mutation(table_name, "update", rowid, before, after)
-            self._journal_write({
-                "op": "update", "table": table_name, "rowid": rowid,
-                "row": encode_row(table.schema, after),
-            })
+            if self._journal is not None:
+                self._journal_write({
+                    "op": "update", "table": table_name, "rowid": rowid,
+                    "row": encode_row(table.schema, after),
+                })
             return after
 
     def delete(self, table_name: str, rowid: int) -> dict[str, Any]:
@@ -267,9 +268,10 @@ class Database:
             self._claim_row(table, rowid, before)
             row = table.delete_row(rowid)
             self._record_mutation(table_name, "delete", rowid, row, None)
-            self._journal_write(
-                {"op": "delete", "table": table_name, "rowid": rowid}
-            )
+            if self._journal is not None:
+                self._journal_write(
+                    {"op": "delete", "table": table_name, "rowid": rowid}
+                )
             return row
 
     def update_where(self, table_name: str, predicate: Predicate,
@@ -346,6 +348,23 @@ class Database:
                 f"{table_name}: no row with {pk}={key!r}"
             )
         return next(iter(hits))
+
+    def rowids_for(self, table_name: str,
+                   keys: Iterable[Any]) -> dict[Any, int]:
+        """``key -> row id`` for each of ``keys`` that has a row, probed
+        in the primary-key index (keys without a row are left out)."""
+        table = self.table(table_name)
+        pk = table.schema.primary_key
+        if pk is None:
+            raise ValueError(f"table {table_name!r} has no primary key")
+        index = table.index_on(pk)
+        assert index is not None
+        found: dict[Any, int] = {}
+        for key in keys:
+            hits = index.lookup(key)
+            if hits:
+                found[key] = next(iter(hits))
+        return found
 
     def _check_foreign_keys(self, table: Table, row: Mapping[str, Any]) -> None:
         from repro.errors import ConstraintViolation

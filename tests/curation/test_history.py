@@ -119,6 +119,45 @@ class TestCuratedView:
         records = list(history.curated_records())
         assert len(records) == len(collection)
 
+    def test_curated_records_equals_per_record_view(self):
+        """The grouped read gives exactly what ``curated_record`` gives
+        record by record: the highest approved change id per field wins,
+        flagged and rejected changes are ignored, dates round-trip."""
+        collection = SoundCollection("grouped")
+        for record_id in range(1, 6):
+            collection.add(SoundRecord(
+                record_id=record_id, species=f"Hyla sp{record_id}",
+                collect_date=dt.date(1980 + record_id, 6, 1)))
+        history = CurationHistory(collection)
+
+        def approved(record_id, field, new, old=None):
+            change = history.propose(record_id, field, old, new, "s")
+            history.approve(change.change_id)
+
+        approved(1, "species", "Hyla alba")
+        approved(1, "species", "Hyla albata")
+        approved(1, "species", "Hyla albina")
+        approved(2, "collect_date", dt.date(2001, 2, 3))
+        approved(2, "collect_date", dt.date(2002, 3, 4))
+        approved(2, "latitude", -23.5)
+        history.propose(2, "latitude", -23.5, 10.0, "s")  # stays flagged
+        rejected = history.propose(3, "species", None, "Nope nope", "s")
+        history.reject(rejected.change_id)
+        approved(4, "collect_date", None, dt.date(1984, 6, 1))
+        approved(1, "species", "Hyla final")
+
+        grouped = list(history.curated_records())
+        assert grouped == [history.curated_record(record.record_id)
+                           for record in collection.records()]
+        by_id = {record.record_id: record for record in grouped}
+        assert by_id[1].species == "Hyla final"
+        assert by_id[2].collect_date == dt.date(2002, 3, 4)
+        assert isinstance(by_id[2].collect_date, dt.date)
+        assert by_id[2].latitude == pytest.approx(-23.5)
+        assert by_id[3].species == "Hyla sp3"
+        assert by_id[4].collect_date is None
+        assert by_id[5] == collection.record(5)
+
     def test_summary(self, setup):
         __, history = setup
         history.propose(1, "species", "a", "b", "s")

@@ -89,6 +89,35 @@ class TestCRUDHelpers:
         assert deleted == 2
         assert db.count("parent") == 3
 
+    def test_rowids_for(self, db):
+        ids = db.insert_many("parent", [{"id": i, "name": "x"}
+                                        for i in range(3)])
+        assert db.rowids_for("parent", [2, 0, 9]) == {2: ids[2], 0: ids[0]}
+        assert db.rowids_for("parent", []) == {}
+
+
+class TestInMemoryJournalFree:
+    def test_in_memory_writes_never_encode_rows(self, db, monkeypatch):
+        """Without a journal there is nothing to encode a row for."""
+        import repro.storage.database as database_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("encode_row called without a journal")
+
+        monkeypatch.setattr(database_module, "encode_row", forbidden)
+        rowid = db.insert("parent", {"id": 1, "name": "a"})
+        db.bulk_load("parent", [{"id": 2, "name": "b"},
+                                {"id": 3, "name": "c"}])
+        db.update("parent", rowid, {"name": "z"})
+        db.delete("parent", rowid)
+        with db.transaction():
+            db.insert("parent", {"id": 4, "name": "d"})
+            db.bulk_load("parent", [{"id": 5, "name": "e"}])
+        db.update_where("parent", col("id") > 3, {"name": "w"})
+        db.delete_where("parent", col("id") == 2)
+        assert db.query("parent").order_by("id").values("name") == [
+            "c", "w", "w"]
+
 
 class TestForeignKeys:
     def test_valid_reference(self, db):

@@ -61,11 +61,12 @@ _IO_BASENAMES = {
     "read_text", "read_bytes", "write_text", "write_bytes", "urlopen",
 }
 
-#: Method basenames that mutate their receiver in place.
+#: Method basenames that mutate their receiver in place (the storage
+#: engine's batched write, ``bulk_load``, counts like ``insert``).
 _MUTATOR_BASENAMES = {
     "append", "extend", "insert", "add", "update", "setdefault",
     "pop", "popitem", "remove", "discard", "clear", "write",
-    "writelines", "sort",
+    "writelines", "sort", "bulk_load",
 }
 
 #: Methods whose ``self`` writes happen before (or after) the object

@@ -4,7 +4,8 @@ The paper's preservation levels (:mod:`repro.core.preservation`) decide
 *what* to keep; this package keeps it for the long term:
 
 * :mod:`repro.archive.cas` — a sha256-keyed, deduplicating
-  content-addressed object store on the storage engine;
+  content-addressed object store on the storage engine (implemented
+  in :mod:`repro.storage.cas`);
 * :mod:`repro.archive.replicas` — N-way replica groups with quorum
   reads and retry/backoff repair;
 * :mod:`repro.archive.fixity` — scheduled digest re-verification,
@@ -28,7 +29,6 @@ The paper's preservation levels (:mod:`repro.core.preservation`) decide
   an OPM provenance run.
 """
 
-from repro.archive.cas import ContentAddressedStore, ObjectStat
 from repro.archive.clock import TickClock
 from repro.archive.erasure import Shard, encode, overhead, reconstruct, shard_size
 from repro.archive.federation import (
@@ -57,6 +57,7 @@ from repro.archive.placement import (
 from repro.archive.replicas import RepairAction, ReplicaGroup, ReplicaStatus
 from repro.archive.sites import ScrubFinding, Site, SiteTopology
 from repro.archive.vault import IngestReport, PreservationVault, RepairReport
+from repro.storage.cas import ContentAddressedStore, ObjectStat
 
 __all__ = [
     "AuditReport",

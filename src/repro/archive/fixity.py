@@ -22,7 +22,7 @@ whole custody chain: ingested, verified, rotted, repaired, verified
 again.
 
 Corruption *injection* for drills lives on the store
-(:meth:`~repro.archive.cas.ContentAddressedStore.corrupt`); the auditor
+(:meth:`~repro.storage.cas.ContentAddressedStore.corrupt`); the auditor
 only ever detects.
 """
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.errors import ArchiveError, QuorumError
-from repro.archive.cas import ContentAddressedStore, PutItem
 from repro.hashing import sha256_hex
+from repro.storage.cas import ContentAddressedStore, PutItem
 
 __all__ = ["ReplicaGroup", "ReplicaStatus", "RepairAction"]
 
@@ -172,7 +172,7 @@ class ReplicaGroup:
     def put_many(self, items: Sequence[PutItem]) -> list[bool]:
         """Write a batch of ``(digest, payload, media_type)`` items to
         every member store, one atomic
-        :meth:`~repro.archive.cas.ContentAddressedStore.put_many` per
+        :meth:`~repro.storage.cas.ContentAddressedStore.put_many` per
         store (retried with backoff).  Returns the first store's
         per-item "stored a new blob" flags."""
         stored: list[bool] = []
@@ -244,7 +244,7 @@ class ReplicaGroup:
                ) -> tuple[list[ReplicaStatus], int]:
         """Every object's health (or that of ``digests``) plus the bytes
         its stored copies hold, from one
-        :meth:`~repro.archive.cas.ContentAddressedStore.fixity_scan` per
+        :meth:`~repro.storage.cas.ContentAddressedStore.fixity_scan` per
         member store."""
         scans = {
             member.name: {digest: (size, intact)

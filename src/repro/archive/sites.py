@@ -1,7 +1,7 @@
 """Simulated multi-site topology for the federated vault.
 
 A :class:`Site` is one storage location: a
-:class:`~repro.archive.cas.ContentAddressedStore` plus the operational
+:class:`~repro.storage.cas.ContentAddressedStore` plus the operational
 profile a placement policy cares about — a **region** tag (geo
 spreading), a simulated **read latency** (latency-weighted reads), and
 an **availability** switch (outage drills).  Latency is simulated the
@@ -27,10 +27,10 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Sequence
 
-from repro.archive.cas import ContentAddressedStore
 from repro.archive.merkle import DEFAULT_DEPTH, MerkleManifest
 from repro.errors import ArchiveError, SiteUnavailableError
 from repro.hashing import sha256_hex, stable_seed
+from repro.storage.cas import ContentAddressedStore
 
 __all__ = ["Site", "SiteTopology", "ScrubFinding"]
 

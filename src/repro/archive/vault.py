@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.archive.cas import ContentAddressedStore, PutItem
 from repro.archive.clock import TickClock
 from repro.archive.fixity import AuditReport, FixityAuditor
 from repro.archive.migration import (
@@ -49,6 +48,7 @@ from repro.hashing import canonical_json, sha256_hex
 from repro.provenance.repository import ProvenanceRepository
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
+from repro.storage.cas import ContentAddressedStore, PutItem
 from repro.telemetry import Telemetry, get_telemetry
 
 __all__ = ["PreservationVault", "IngestReport", "RepairReport"]

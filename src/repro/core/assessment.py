@@ -81,11 +81,15 @@ class AssessmentContext:
         self.workflow_output = dict(workflow_output or {})
         self.catalogue = catalogue
         self.extras = dict(extras or {})
+        self._trace: "WorkflowTrace | None" = None
 
     def trace(self) -> "WorkflowTrace":
+        """The run's trace, read from the repository on first use."""
         if self.provenance is None or self.run_id is None:
             raise QualityError("context has no provenance run to consult")
-        return self.provenance.trace_for(self.run_id)
+        if self._trace is None or self._trace.run_id != self.run_id:
+            self._trace = self.provenance.trace_for(self.run_id)
+        return self._trace
 
     def process_annotations(self) -> dict[str, dict[str, Any]]:
         """Quality annotations per process, from the provenance graph."""

@@ -110,15 +110,16 @@ class DataQualityManager:
             raise QualityError(
                 "manager has no provenance repository attached"
             )
-        trace = self.provenance.trace_for(run_id)
-        return AssessmentContext(
+        context = AssessmentContext(
             collection=collection,
             provenance=self.provenance,
             run_id=run_id,
-            workflow_output=trace.outputs,
             catalogue=catalogue,
             extras=extras,
         )
+        # the context keeps the trace it reads, for later trace() calls
+        context.workflow_output = dict(context.trace().outputs)
+        return context
 
     # ------------------------------------------------------------------
     # assessment

@@ -137,7 +137,13 @@ def archive_collection(
     * Level 3 adds the full records and the workflow descriptions
       (the "analysis-level software").
     * Level 4 adds the provenance (the "reconstruction" layer: with the
-      traces and graphs, every curation run can be re-derived).
+      traces and graphs, every curation run can be re-derived).  Each
+      run is stored as the repository keeps it —
+      ``{"trace": skeleton, "values": {digest: value}, "graph": ...}``
+      (:meth:`~repro.provenance.repository.ProvenanceRepository.package_run`)
+      — so a value that crossed several ports is archived once per run,
+      and the package alone still rebuilds every trace
+      (:func:`~repro.provenance.repository.trace_from_skeleton`).
     """
     from repro.sounds.fields import FIELDS  # local import: cycle guard
 
@@ -174,10 +180,7 @@ def archive_collection(
             }
     if level >= PreservationLevel.FULL_REPRODUCTION and provenance is not None:
         contents["provenance"] = {
-            run_id: {
-                "trace": provenance.trace_for(run_id).to_dict(),
-                "graph": provenance.graph_for(run_id).to_dict(),
-            }
+            run_id: provenance.package_run(run_id)
             for run_id in provenance.run_ids()
         }
     return PreservationPackage(level, collection.name, contents)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.curation.history import CurationHistory
+from repro.curation.history import CurationHistory, Proposal
 from repro.sounds.fields import FIELDS
 from repro.sounds.formats import era_consistent
 from repro.taxonomy.nomenclature import ScientificName, normalize_name
@@ -73,52 +73,58 @@ class MetadataCleaner:
         self.collection = history.collection
 
     def run(self) -> CleaningReport:
-        """Scan every record; log proposals; return the report."""
+        """Scan every record; log proposals (one batch, in scan order);
+        return the report."""
         report = CleaningReport()
+        proposals: list[Proposal] = []
         for record in self.collection.records():
             report.records_scanned += 1
-            self._clean_species_name(record, report)
-            self._check_domains(record, report)
-            self._check_eras(record, report)
+            self._clean_species_name(record, report, proposals)
+            self._check_domains(record, report, proposals)
+            self._check_eras(record, report, proposals)
+        self.history.propose_many(proposals)
         return report
 
     # ------------------------------------------------------------------
     # passes
     # ------------------------------------------------------------------
 
-    def _clean_species_name(self, record, report: CleaningReport) -> None:
+    def _clean_species_name(self, record, report: CleaningReport,
+                            proposals: list[Proposal]) -> None:
         name = record.species
         if name is None:
             return
         parsed = ScientificName.try_parse(name)
         if parsed is None:
             report.malformed_names[record.record_id] = name
-            self.history.propose(
+            proposals.append(Proposal(
                 record.record_id, "species", name, None, self.STEP,
                 note="malformed scientific name; needs expert attention",
-            )
+            ))
             return
         normalized = normalize_name(name)
         if normalized != name:
             report.syntactic_fixes[record.record_id] = (name, normalized)
-            self.history.propose(
+            proposals.append(Proposal(
                 record.record_id, "species", name, normalized, self.STEP,
                 note="capitalization normalized", auto_approve=True,
                 curator="cleaning algorithm",
-            )
+            ))
 
-    def _check_domains(self, record, report: CleaningReport) -> None:
+    def _check_domains(self, record, report: CleaningReport,
+                       proposals: list[Proposal]) -> None:
         violations = record.domain_violations()
         if not violations:
             return
         report.domain_violations[record.record_id] = violations
         for field, value in violations.items():
-            self.history.propose(
+            proposals.append(Proposal(
                 record.record_id, field, value, None, self.STEP,
                 note="value outside the field domain",
-            )
+            ))
 
-    def _check_eras(self, record, report: CleaningReport) -> None:
+    def _check_eras(self, record, report: CleaningReport,
+                    proposals: list[Proposal]) -> None:
         year = record.recording_year
         if year is None:
             return
@@ -131,10 +137,10 @@ class MetadataCleaner:
                 report.anachronisms.setdefault(
                     record.record_id, {}
                 )[field] = value
-                self.history.propose(
+                proposals.append(Proposal(
                     record.record_id, field, value, None, self.STEP,
                     note=f"{value!r} did not exist in {year}",
-                )
+                ))
 
     # convenience: list which field specs have domains at all (docs/tests)
     @staticmethod

@@ -13,7 +13,7 @@ flagged (archive data is an estimate, not an observation).
 
 from __future__ import annotations
 
-from repro.curation.history import CurationHistory
+from repro.curation.history import CurationHistory, Proposal
 from repro.geo.climate import ClimateArchive
 from repro.sounds.fields import ATMOSPHERIC_CONDITIONS
 
@@ -60,6 +60,7 @@ class EnvironmentalEnricher:
 
     def run(self) -> EnrichmentReport:
         report = EnrichmentReport()
+        proposals: list[Proposal] = []
         # Work on the curated view so freshly-approved geocoding
         # results count as "location defined".
         for record in self.history.curated_records():
@@ -83,8 +84,9 @@ class EnvironmentalEnricher:
             if needs_temperature:
                 value = round(reading.temperature_c, 1)
                 report.temperature_fills[record.record_id] = value
-                self.history.propose(record.record_id, "air_temperature_c",
-                                     None, value, self.STEP, note=note)
+                proposals.append(Proposal(
+                    record.record_id, "air_temperature_c", None, value,
+                    self.STEP, note=note))
             if needs_conditions:
                 conditions = (
                     reading.conditions
@@ -92,9 +94,10 @@ class EnvironmentalEnricher:
                     else "clear"
                 )
                 report.conditions_fills[record.record_id] = conditions
-                self.history.propose(record.record_id,
-                                     "atmospheric_conditions",
-                                     None, conditions, self.STEP, note=note)
+                proposals.append(Proposal(
+                    record.record_id, "atmospheric_conditions", None,
+                    conditions, self.STEP, note=note))
+        self.history.propose_many(proposals)
         return report
 
 

@@ -14,7 +14,7 @@ place fields against the gazetteer.  Unambiguous hits are proposed
 
 from __future__ import annotations
 
-from repro.curation.history import CurationHistory
+from repro.curation.history import CurationHistory, Proposal
 from repro.errors import GeocodingError
 from repro.geo.gazetteer import Gazetteer
 
@@ -61,6 +61,7 @@ class Geocoder:
 
     def run(self) -> GeocodingReport:
         report = GeocodingReport()
+        proposals: list[Proposal] = []
         for record in self.collection.records():
             report.records_scanned += 1
             if record.has_coordinates:
@@ -85,12 +86,9 @@ class Geocoder:
                 f"geocoded from {place.kind} {place.name!r} "
                 f"(±{place.uncertainty_km:.0f} km)"
             )
-            self.history.propose(record.record_id, "latitude", None,
-                                 round(place.latitude, 5), self.STEP,
-                                 note=note)
-            self.history.propose(record.record_id, "longitude", None,
-                                 round(place.longitude, 5), self.STEP,
-                                 note=note)
+            proposals.extend(_coordinate_proposals(
+                record.record_id, place, self.STEP, note))
+        self.history.propose_many(proposals)
         return report
 
     def disambiguate(self, record_id: int, state: str) -> bool:
@@ -108,8 +106,17 @@ class Geocoder:
             # state-centroid fallback would hide the mistake.
             return False
         note = f"disambiguated by curator to {state!r}"
-        self.history.propose(record.record_id, "latitude", None,
-                             round(place.latitude, 5), self.STEP, note=note)
-        self.history.propose(record.record_id, "longitude", None,
-                             round(place.longitude, 5), self.STEP, note=note)
+        self.history.propose_many(_coordinate_proposals(
+            record.record_id, place, self.STEP, note))
         return True
+
+
+def _coordinate_proposals(record_id: int, place, step: str,
+                          note: str) -> list[Proposal]:
+    """The latitude and longitude fills for one resolved place."""
+    return [
+        Proposal(record_id, "latitude", None, round(place.latitude, 5),
+                 step, note=note),
+        Proposal(record_id, "longitude", None, round(place.longitude, 5),
+                 step, note=note),
+    ]

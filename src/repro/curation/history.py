@@ -16,7 +16,7 @@ back over the original.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.errors import CurationError
 from repro.sounds.collection import RECORDINGS, SoundCollection
@@ -24,7 +24,7 @@ from repro.sounds.record import SoundRecord
 from repro.storage import Column, ForeignKey, TableSchema, col
 from repro.storage import column_types as ct
 
-__all__ = ["ProposedChange", "CurationHistory"]
+__all__ = ["Proposal", "ProposedChange", "CurationHistory"]
 
 HISTORY = "curation_history"
 
@@ -69,6 +69,19 @@ class ProposedChange:
         )
 
 
+class Proposal(NamedTuple):
+    """One change to log, as :meth:`CurationHistory.propose` takes it."""
+
+    record_id: int
+    field: str
+    old_value: Any
+    new_value: Any
+    step: str
+    note: str = ""
+    auto_approve: bool = False
+    curator: str = ""
+
+
 class CurationHistory:
     """The log, bound to one collection's database."""
 
@@ -108,22 +121,42 @@ class CurationHistory:
                 curator: str = "") -> ProposedChange:
         """Log one proposed change (``flagged`` unless auto-approved —
         purely syntactic fixes may skip review)."""
-        change_id = self._next_id
-        self._next_id += 1
-        status = "approved" if auto_approve else "flagged"
-        self.database.insert(HISTORY, {
-            "change_id": change_id,
-            "record_id": record_id,
-            "field": field,
-            "old_value": json.dumps(old_value, default=str),
-            "new_value": json.dumps(new_value, default=str),
-            "step": step,
-            "status": status,
-            "curator": curator,
-            "note": note,
-        })
-        return ProposedChange(change_id, record_id, field, old_value,
-                              new_value, step, status, curator, note)
+        return self.propose_many([Proposal(
+            record_id, field, old_value, new_value, step, note,
+            auto_approve, curator)])[0]
+
+    def propose_many(self,
+                     proposals: Iterable[Proposal]) -> list[ProposedChange]:
+        """Log a batch of proposed changes in one bulk write.
+
+        Change ids are consecutive in batch order, as the same sequence
+        of :meth:`propose` calls would number them.  The batch is
+        atomic: one that violates a constraint (an unknown record, say)
+        logs none of its changes and consumes no ids.
+        """
+        changes = [
+            ProposedChange(self._next_id + offset, proposal.record_id,
+                           proposal.field, proposal.old_value,
+                           proposal.new_value, proposal.step,
+                           "approved" if proposal.auto_approve
+                           else "flagged",
+                           proposal.curator, proposal.note)
+            for offset, proposal in enumerate(proposals)
+        ]
+        if changes:
+            self.database.bulk_load(HISTORY, ({
+                "change_id": change.change_id,
+                "record_id": change.record_id,
+                "field": change.field,
+                "old_value": json.dumps(change.old_value, default=str),
+                "new_value": json.dumps(change.new_value, default=str),
+                "step": change.step,
+                "status": change.status,
+                "curator": change.curator,
+                "note": change.note,
+            } for change in changes))
+            self._next_id += len(changes)
+        return changes
 
     def _set_status(self, change_id: int, status: str,
                     curator: str) -> None:

@@ -299,8 +299,8 @@ class SpeciesNameChecker:
             name_records = inputs.get("name_records") or {}
             updated: dict[str, str] = {}
             unresolved = 0
-            affected_records = 0
             next_id = self.collection.database.count(UPDATES_TABLE) + 1
+            rows: list[dict[str, Any]] = []
             for resolution in resolutions:
                 status = resolution.get("status")
                 if status == "unresolved":
@@ -315,9 +315,8 @@ class SpeciesNameChecker:
                 reason = chain[0].get("reason", "") if chain else ""
                 reference = chain[0].get("reference", "") if chain else ""
                 for record_id in name_records.get(old, ()):
-                    affected_records += 1
-                    self.collection.database.insert(UPDATES_TABLE, {
-                        "update_id": next_id,
+                    rows.append({
+                        "update_id": next_id + len(rows),
                         "record_id": record_id,
                         "old_name": old,
                         "new_name": new,
@@ -325,7 +324,9 @@ class SpeciesNameChecker:
                         "reference": reference,
                         "status": "flagged",
                     })
-                    next_id += 1
+            affected_records = len(rows)
+            if rows:
+                self.collection.database.bulk_load(UPDATES_TABLE, rows)
             return {
                 "summary": {
                     "records_processed": inputs.get("records_processed", 0),

@@ -343,8 +343,9 @@ def _federation_panel(metrics: Mapping[str, Any]) -> list[str]:
 
 
 def _provstore_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Archival provenance-store activity for :func:`render_report`
-    (empty when no ``provstore_*`` series have been recorded)."""
+    """Archival provenance-store activity and the bytes each captured
+    run persisted, for :func:`render_report` (empty when no
+    ``provstore_*`` series have been recorded)."""
     if not any(series.split("{", 1)[0].startswith("provstore_")
                for series in metrics):
         return []
@@ -372,9 +373,19 @@ def _provstore_panel(metrics: Mapping[str, Any]) -> list[str]:
             f"  lineage queries {_fmt(queries)}"
             f" ({_fmt(truncated)} budget-truncated)"
         )
-    legacy = _family_total(metrics, "provstore_legacy_artifact_scans_total")
-    if legacy:
-        lines.append(f"  deprecated O(n-runs) artifact scans {_fmt(legacy)}")
+    if _family_total(metrics, "provenance_run_bytes_total"):
+        parts = {
+            part: metrics.get(f"provenance_run_bytes_total{{part={part}}}",
+                              {}).get("value", 0)
+            for part in ("skeleton", "values", "graph")
+        }
+        lines.append(
+            f"  run bytes persisted: skeletons {_fmt(parts['skeleton'])},"
+            f" new values {_fmt(parts['values'])},"
+            f" graphs {_fmt(parts['graph'])}"
+            f" ({_fmt(_family_total(metrics, 'provenance_values_deduplicated_total'))}"
+            f" values deduplicated)"
+        )
     return lines
 
 

@@ -85,6 +85,22 @@ class TestRunAssessment:
         assert str(small_config.n_distinct_species) in note
         assert str(small_config.n_outdated_species) in note
 
+    def test_one_trace_read_per_assessment(self, checked, monkeypatch):
+        manager, result, collection = checked
+        repository = manager.provenance
+        reads = []
+        original = repository.trace_for
+
+        def counting(run_id):
+            reads.append(run_id)
+            return original(run_id)
+
+        monkeypatch.setattr(repository, "trace_for", counting)
+        report = manager.assess_species_check_run(result.run_id,
+                                                  collection=collection)
+        assert reads == [result.run_id]
+        assert report.subject == result.trace.workflow_name
+
     def test_context_requires_provenance(self):
         manager = DataQualityManager()
         with pytest.raises(QualityError):

@@ -4,19 +4,23 @@ import datetime as dt
 
 import pytest
 
-from repro.curation.history import CurationHistory
+from repro.curation.history import CurationHistory, Proposal
 from repro.errors import CurationError
 from repro.sounds.collection import SoundCollection
 from repro.sounds.record import SoundRecord
 
 
-@pytest.fixture()
-def setup():
+def setup_history():
     collection = SoundCollection("h")
     collection.add(SoundRecord(record_id=1, species="HYLA alba",
                                collect_date=dt.date(1975, 1, 1)))
     collection.add(SoundRecord(record_id=2, species="Scinax ruber"))
     return collection, CurationHistory(collection)
+
+
+@pytest.fixture()
+def setup():
+    return setup_history()
 
 
 class TestPropose:
@@ -39,6 +43,58 @@ class TestPropose:
         __, history = setup
         with pytest.raises(ConstraintViolation, match="FOREIGN KEY"):
             history.propose(999, "species", None, "x", "step")
+
+
+class TestProposeMany:
+    PROPOSALS = [
+        Proposal(1, "species", "HYLA alba", "Hyla alba", "clean",
+                 note="capitalization", auto_approve=True, curator="algo"),
+        Proposal(2, "latitude", None, -23.5, "geo", note="geocoded"),
+        Proposal(1, "collect_date", dt.date(1975, 1, 1), None, "eras"),
+        Proposal(2, "species", "Scinax ruber", None, "names"),
+    ]
+
+    @staticmethod
+    def _rows(history):
+        return history.database.query("curation_history").order_by(
+            "change_id").all()
+
+    def test_equals_a_sequence_of_propose_calls(self, setup):
+        __, one_by_one = setup
+        __, batched = setup_history()
+        singles = [one_by_one.propose(*proposal)
+                   for proposal in self.PROPOSALS]
+        batch = batched.propose_many(self.PROPOSALS)
+        assert [repr(change) for change in batch] \
+            == [repr(change) for change in singles]
+        assert [(c.change_id, c.status, c.curator, c.note)
+                for c in batch] \
+            == [(c.change_id, c.status, c.curator, c.note)
+                for c in singles]
+        assert self._rows(batched) == self._rows(one_by_one)
+        # numbering continues after the batch as after the calls
+        assert batched.propose(2, "notes", None, "x", "s").change_id \
+            == one_by_one.propose(2, "notes", None, "x", "s").change_id
+
+    def test_violating_batch_changes_nothing(self, setup):
+        from repro.errors import ConstraintViolation
+
+        __, history = setup
+        history.propose(1, "species", "a", "b", "s")
+        rows, next_id = self._rows(history), history._next_id
+        with pytest.raises(ConstraintViolation, match="FOREIGN KEY"):
+            history.propose_many([
+                Proposal(2, "species", None, "x", "s"),
+                Proposal(999, "species", None, "x", "s"),
+            ])
+        assert self._rows(history) == rows
+        assert history._next_id == next_id
+        assert history.propose(2, "species", None, "x", "s").change_id == 2
+
+    def test_empty_batch(self, setup):
+        __, history = setup
+        assert history.propose_many([]) == []
+        assert len(history) == 0
 
 
 class TestReviewWorkflow:

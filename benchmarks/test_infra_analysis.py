@@ -20,7 +20,6 @@ c. **determinism** — the cold and warm reports agree byte-for-byte.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -28,6 +27,8 @@ import pytest
 
 from repro.analysis import Analyzer
 from repro.analysis.code import CodebaseState, ModuleLoader
+
+from floors import check_floor
 
 pytestmark = pytest.mark.smoke
 
@@ -37,7 +38,6 @@ RESULTS_PATH = REPO / "BENCH_analysis.json"
 
 MIN_FILES_PER_SECOND = 10.0
 MIN_WARM_SPEEDUP = 1.2
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 
 def _timed_pass(loader: ModuleLoader) -> tuple[float, CodebaseState, dict]:
@@ -83,15 +83,7 @@ def test_full_tree_analysis_throughput():
           f"({files_per_second} files/s), warm "
           f"{warm_seconds * 1e3:.0f} ms ({warm_speedup}x)")
 
-    if STRICT:
-        assert files_per_second >= MIN_FILES_PER_SECOND
-        assert warm_speedup >= MIN_WARM_SPEEDUP
-    else:
-        if files_per_second < MIN_FILES_PER_SECOND:
-            print(f"advisory: {files_per_second} files/s below the "
-                  f"{MIN_FILES_PER_SECOND} floor on this runner "
-                  "(strict gate: REPRO_BENCH_STRICT=1)")
-        if warm_speedup < MIN_WARM_SPEEDUP:
-            print(f"advisory: warm speedup {warm_speedup}x below the "
-                  f"{MIN_WARM_SPEEDUP}x floor on this runner "
-                  "(strict gate: REPRO_BENCH_STRICT=1)")
+    check_floor("code analysis below floor", files_per_second,
+                MIN_FILES_PER_SECOND, unit=" files/s")
+    check_floor("warm code analysis below floor", warm_speedup,
+                MIN_WARM_SPEEDUP)

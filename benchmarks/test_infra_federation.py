@@ -16,7 +16,6 @@ b. **Erasure vs replication** — at equal-or-better modeled durability,
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -29,16 +28,16 @@ from repro.archive.sites import Site, SiteTopology
 from repro.hashing import sha256_hex
 from repro.telemetry import Telemetry
 
+from floors import check_floor
+
 pytestmark = pytest.mark.smoke
 
 RESULTS_PATH = (Path(__file__).resolve().parent.parent
                 / "BENCH_federation.json")
 
 N_OBJECTS = 10_000
-#: floor for the Merkle-sync speedup; enforced only under
-#: REPRO_BENCH_STRICT=1 (shared CI runners make wall-clock advisory)
+#: floor for the Merkle-sync speedup (see floors.py)
 MIN_SYNC_SPEEDUP = 5.0
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 SITE_LOSS_PROBABILITY = 0.05
 
@@ -102,11 +101,8 @@ def test_merkle_sync_vs_full_sweep():
           f"diff {diff_seconds * 1000:.2f} ms over {N_OBJECTS} objects "
           f"= {speedup}x ({diff.nodes_compared} nodes compared)")
     _flush_results()
-    if STRICT:
-        assert speedup >= MIN_SYNC_SPEEDUP
-    elif speedup < MIN_SYNC_SPEEDUP:
-        print(f"advisory: speedup {speedup}x below the {MIN_SYNC_SPEEDUP}x "
-              "floor on this runner (strict gate: REPRO_BENCH_STRICT=1)")
+    check_floor("merkle sync speedup below floor", speedup,
+                MIN_SYNC_SPEEDUP)
 
 
 def test_erasure_cheaper_than_replication_at_equal_durability():

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -29,6 +28,8 @@ import pytest
 
 from repro.provenance.opm import OPMGraph
 from repro.provenance.store import ProvenanceStore, TraversalBudget
+
+from floors import check_floor
 
 pytestmark = pytest.mark.smoke
 
@@ -39,7 +40,6 @@ N_RUNS = 10_000
 N_LOOKUPS = 200
 MIN_LOOKUP_SPEEDUP = 5.0
 MIN_MEMORY_RATIO = 3.0
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 _results: dict[str, object] = {}
 
@@ -159,12 +159,8 @@ def test_store_vs_naive_repository_at_10k_runs():
 
     # memory is a same-interpreter relation: always enforced
     assert memory_ratio >= MIN_MEMORY_RATIO
-    if STRICT:
-        assert speedup >= MIN_LOOKUP_SPEEDUP
-    elif speedup < MIN_LOOKUP_SPEEDUP:
-        print(f"advisory: lookup speedup {speedup}x below the "
-              f"{MIN_LOOKUP_SPEEDUP}x floor on this runner "
-              "(strict gate: REPRO_BENCH_STRICT=1)")
+    check_floor("provstore lookup below floor", speedup,
+                MIN_LOOKUP_SPEEDUP)
 
 
 def test_lineage_respects_node_budget_at_scale():

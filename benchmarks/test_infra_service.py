@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +39,8 @@ from repro.storage import Column, TableSchema, col
 from repro.storage import column_types as ct
 from repro.telemetry import Telemetry
 
+from floors import check_floor
+
 pytestmark = pytest.mark.smoke
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -50,12 +51,8 @@ N_RECORDS = 200
 SIMULATED_IO_SECONDS = 0.002
 #: share of each tenant's stream per operation
 QUERY_SHARE, INGEST_SHARE = 0.70, 0.25  # the remaining 5% are audits
+#: floor for concurrent over serial throughput (see floors.py)
 MIN_CONCURRENT_SPEEDUP = 1.5
-#: wall-clock speedup on shared CI runners is nondeterministic, so the
-#: strict threshold only *fails* the run when explicitly requested
-#: (local benchmarking: REPRO_BENCH_STRICT=1); otherwise it is recorded
-#: in BENCH_service.json and CI annotates a warning when it dips.
-STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
 _FORMATS = ("WAV", "MP3", "FLAC")
 
@@ -222,9 +219,5 @@ def test_concurrent_tenants_beat_serial():
     print(f"\nservice bench: serial {serial_stats['throughput_rps']} rps "
           f"vs concurrent {concurrent_stats['throughput_rps']} rps "
           f"({speedup}x), concurrent p99 {concurrent_stats['p99_ms']} ms")
-    if STRICT:
-        assert speedup >= MIN_CONCURRENT_SPEEDUP
-    elif speedup < MIN_CONCURRENT_SPEEDUP:
-        print(f"WARNING: concurrent speedup {speedup}x below the "
-              f"{MIN_CONCURRENT_SPEEDUP}x floor (advisory on shared "
-              "runners; rerun with REPRO_BENCH_STRICT=1 to enforce)")
+    check_floor("service speedup below floor", speedup,
+                MIN_CONCURRENT_SPEEDUP)

@@ -854,12 +854,12 @@ def _command_stream(args: argparse.Namespace) -> int:
         scheduler = RecheckScheduler(clock=curator.engine.clock,
                                      interval_seconds=7 * 24 * 3600,
                                      telemetry=telemetry)
-        for shard in curator.index.subjects():
+        for shard in cold.shard_digests:
             scheduler.note_assessed(shard)
         catalogue.advance_to(args.to_year)
         dropped = curator.bump_resource("catalogue", args.to_year)
         warm = curator.assess()
-        for shard in curator.index.subjects():
+        for shard in warm.shard_digests:
             scheduler.note_assessed(shard)
         curator.engine.clock.advance(8 * 24 * 3600)
         due = scheduler.due()

@@ -87,12 +87,38 @@ class Journal:
                 ) from None
 
     def replay(self, database: "Database") -> int:
-        """Apply every journal entry to ``database``; returns the count."""
+        """Apply every journal entry to ``database``; returns the count.
+
+        Afterwards the file ends on a line boundary, so the next append
+        starts a line of its own instead of extending the tail."""
         applied = 0
         for entry in self.entries():
             self._apply(database, entry)
             applied += 1
+        self._end_on_line_boundary()
         return applied
+
+    def _end_on_line_boundary(self) -> None:
+        """Cut a torn last line; terminate a complete unterminated one
+        (replay already applied it)."""
+        if not self.path.exists():
+            return
+        with self.path.open("rb+") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            data = handle.read()
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                handle.truncate(start)
+            else:
+                handle.write(b"\n")
 
     @staticmethod
     def _apply(database: "Database", entry: dict[str, Any]) -> None:

@@ -11,7 +11,9 @@ observed by the runtime feed straight back into the assessment.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
+
+from repro.telemetry.metrics import format_series
 
 __all__ = ["render_report", "quality_signals"]
 
@@ -24,82 +26,53 @@ def _fmt(value: Any) -> str:
     return f"{value:,}"
 
 
+#: The per-series sections of :func:`render_report`: instrument type,
+#: the field that must be non-zero for a series to be listed (``None``:
+#: always listed), title, and row format.
+_SECTIONS: tuple[tuple[str, str | None, str, Any], ...] = (
+    ("histogram", "count",
+     "histograms (count / mean / max, seconds or items)",
+     lambda series, data: f"  {series:<48} {_fmt(data['count']):>6}"
+                          f" {_fmt(data['mean']):>10} {_fmt(data['max']):>10}"),
+    ("counter", "value", "counters",
+     lambda series, data: f"  {series:<54} {_fmt(data['value']):>8}"),
+    ("gauge", None, "gauges",
+     lambda series, data: f"  {series:<54} {_fmt(data['value']):>8}"),
+    ("window", "count", "sliding windows (in-window / mean / last)",
+     lambda series, data: f"  {series:<44} {_fmt(data['count']):>4}"
+                          f"/{data['size']}"
+                          f" {_fmt(data['mean']):>9} {_fmt(data['last']):>9}"),
+)
+
+
+def _section(lines: list[str], title: str, rows: list[str]) -> None:
+    """Append a titled block of ``rows`` (nothing when there are none)."""
+    if rows:
+        lines.extend(["", title, "-" * 64, *rows])
+
+
 def render_report(snapshot: Mapping[str, Any]) -> str:
     """A human-readable observability panel from one snapshot."""
     metrics: Mapping[str, Any] = snapshot.get("metrics", {})
     lines: list[str] = ["Telemetry report", "=" * 64]
-
-    counters = {
-        series: data for series, data in metrics.items()
-        if data.get("type") == "counter" and data.get("value")
-    }
-    gauges = {
-        series: data for series, data in metrics.items()
-        if data.get("type") == "gauge"
-    }
-    histograms = {
-        series: data for series, data in metrics.items()
-        if data.get("type") == "histogram" and data.get("count")
-    }
-    windows = {
-        series: data for series, data in metrics.items()
-        if data.get("type") == "window" and data.get("count")
-    }
-
-    if histograms:
-        lines.append("")
-        lines.append("histograms (count / mean / max, seconds or items)")
-        lines.append("-" * 64)
-        for series in sorted(histograms):
-            data = histograms[series]
-            lines.append(
-                f"  {series:<48} {_fmt(data['count']):>6}"
-                f" {_fmt(data['mean']):>10} {_fmt(data['max']):>10}"
-            )
-    if counters:
-        lines.append("")
-        lines.append("counters")
-        lines.append("-" * 64)
-        for series in sorted(counters):
-            lines.append(
-                f"  {series:<54} {_fmt(counters[series]['value']):>8}"
-            )
-    if gauges:
-        lines.append("")
-        lines.append("gauges")
-        lines.append("-" * 64)
-        for series in sorted(gauges):
-            lines.append(
-                f"  {series:<54} {_fmt(gauges[series]['value']):>8}"
-            )
-    if windows:
-        lines.append("")
-        lines.append("sliding windows (in-window / mean / last)")
-        lines.append("-" * 64)
-        for series in sorted(windows):
-            data = windows[series]
-            lines.append(
-                f"  {series:<44} {_fmt(data['count']):>4}/{data['size']}"
-                f" {_fmt(data['mean']):>9} {_fmt(data['last']):>9}"
-            )
+    for kind, required, title, row in _SECTIONS:
+        _section(lines, title, [
+            row(series, metrics[series]) for series in sorted(metrics)
+            if metrics[series].get("type") == kind
+            and (required is None or metrics[series].get(required))
+        ])
 
     spans = snapshot.get("spans", {})
-    span_list = spans.get("spans", ())
-    if span_list:
+    if spans.get("spans"):
         by_name: dict[str, list[float]] = {}
-        for span in span_list:
+        for span in spans["spans"]:
             duration = span.get("duration_seconds")
             if duration is not None:
                 by_name.setdefault(span["name"], []).append(duration)
-        lines.append("")
-        lines.append("spans (count / total simulated seconds)")
-        lines.append("-" * 64)
-        for name in sorted(by_name):
-            durations = by_name[name]
-            lines.append(
-                f"  {name:<54} {len(durations):>4}"
-                f" {_fmt(sum(durations)):>8}"
-            )
+        lines.extend(["", "spans (count / total simulated seconds)", "-" * 64])
+        lines.extend(
+            f"  {name:<54} {len(durations):>4} {_fmt(sum(durations)):>8}"
+            for name, durations in sorted(by_name.items()))
         if spans.get("dropped_spans"):
             lines.append(f"  (dropped {spans['dropped_spans']} spans)")
 
@@ -124,419 +97,327 @@ def render_report(snapshot: Mapping[str, Any]) -> str:
                 f"processor(s)"
             )
 
-    engine_lines = _engine_panel(metrics)
-    if engine_lines:
-        lines.append("")
-        lines.append("engine scheduling & caches")
-        lines.append("-" * 64)
-        lines.extend(engine_lines)
-
-    curation_lines = _curation_panel(metrics)
-    if curation_lines:
-        lines.append("")
-        lines.append("curation pipeline")
-        lines.append("-" * 64)
-        lines.extend(curation_lines)
-
-    planner_lines = _planner_panel(metrics)
-    if planner_lines:
-        lines.append("")
-        lines.append("storage query planner")
-        lines.append("-" * 64)
-        lines.extend(planner_lines)
-
-    vault_lines = _vault_panel(metrics)
-    if vault_lines:
-        lines.append("")
-        lines.append("preservation vault")
-        lines.append("-" * 64)
-        lines.extend(vault_lines)
-
-    federation_lines = _federation_panel(metrics)
-    if federation_lines:
-        lines.append("")
-        lines.append("federated vault")
-        lines.append("-" * 64)
-        lines.extend(federation_lines)
-
-    provstore_lines = _provstore_panel(metrics)
-    if provstore_lines:
-        lines.append("")
-        lines.append("provenance store")
-        lines.append("-" * 64)
-        lines.extend(provstore_lines)
-
-    analysis_lines = _analysis_panel(metrics)
-    if analysis_lines:
-        lines.append("")
-        lines.append("static analysis")
-        lines.append("-" * 64)
-        lines.extend(analysis_lines)
-
-    service_lines = _service_panel(metrics)
-    if service_lines:
-        lines.append("")
-        lines.append("multi-tenant service")
-        lines.append("-" * 64)
-        lines.extend(service_lines)
-
-    streaming_lines = _streaming_panel(metrics)
-    if streaming_lines:
-        lines.append("")
-        lines.append("streaming curation")
-        lines.append("-" * 64)
-        lines.extend(streaming_lines)
+    view = _SnapshotView(metrics)
+    for title, panel in _PANELS:
+        _section(lines, title, panel(view))
     return "\n".join(lines)
 
 
-def _family_total(metrics: Mapping[str, Any], family: str) -> float:
-    """Sum of a counter family's values across all label series."""
-    total = 0.0
-    for series, data in metrics.items():
-        if series.split("{", 1)[0] == family \
-                and data.get("type") == "counter":
-            total += data["value"]
-    return total
+Labels = dict[str, str]
 
 
-def _engine_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Wave-scheduler and cache activity for :func:`render_report`
-    (empty when no ``engine_*``/``taxonomy_cache_*`` series exist)."""
-    if not any(series.split("{", 1)[0].startswith(("engine_",
-                                                   "taxonomy_cache_"))
-               for series in metrics):
+class _SnapshotView:
+    """A snapshot's series keys parsed once into ``family -> [(labels,
+    data)]``, in snapshot order, for the panels to query."""
+
+    def __init__(self, metrics: Mapping[str, Any]) -> None:
+        self.families: dict[str, list[tuple[Labels, Mapping[str, Any]]]] = {}
+        for series, data in metrics.items():
+            family, _, inner = series.partition("{")
+            labels = dict(
+                part.partition("=")[::2]
+                for part in inner.rstrip("}").split(",")
+            ) if inner else {}
+            self.families.setdefault(family, []).append((labels, data))
+
+    def has(self, *prefixes: str) -> bool:
+        """Whether any family starts with one of ``prefixes``."""
+        return any(family.startswith(prefixes) for family in self.families)
+
+    def series(self, family: str,
+               kind: str | None = None) -> list[tuple[Labels, Any]]:
+        """The family's ``(labels, data)`` pairs, of one ``kind`` when
+        given."""
+        return [
+            (labels, data) for labels, data in self.families.get(family, ())
+            if kind is None or data.get("type") == kind
+        ]
+
+    def total(self, family: str) -> float:
+        """Sum of a counter family's values across all label series."""
+        return sum((data["value"]
+                    for _, data in self.series(family, "counter")), 0.0)
+
+    def by_label(self, family: str, label: str) -> dict[str, float]:
+        """Counter totals of the family's labelled series, keyed by
+        ``label`` (``"unknown"`` where a series lacks it)."""
+        totals: dict[str, float] = {}
+        for labels, data in self.series(family, "counter"):
+            if labels:
+                key = labels.get(label, "unknown")
+                totals[key] = totals.get(key, 0) + data["value"]
+        return totals
+
+    def gauges(self, family: str) -> list[float]:
+        """The family's gauge values."""
+        return [data["value"] for _, data in self.series(family, "gauge")]
+
+
+def _breakdown(totals: Mapping[str, float], order: Iterable[str]) -> str:
+    """``"<n> <key>, ..."`` for the keys of ``order`` present in
+    ``totals``."""
+    return ", ".join(
+        f"{_fmt(totals[key])} {key}" for key in order if key in totals)
+
+
+def _now_lines(view: _SnapshotView,
+               gauges: tuple[tuple[str, str], ...]) -> list[str]:
+    """``<label> now <value>`` for each gauge family present (its first
+    series)."""
+    return [f"  {label} now {_fmt(view.gauges(family)[0])}"
+            for family, label in gauges if view.gauges(family)]
+
+
+def _engine_panel(view: _SnapshotView) -> list[str]:
+    """Wave-scheduler and cache activity."""
+    if not view.has("engine_", "taxonomy_cache_"):
         return []
     lines = [
-        f"  waves scheduled {_fmt(_family_total(metrics, 'engine_waves_total'))},"
+        f"  waves scheduled {_fmt(view.total('engine_waves_total'))},"
         f" parallel dispatches "
-        f"{_fmt(_family_total(metrics, 'engine_parallel_dispatch_total'))}",
+        f"{_fmt(view.total('engine_parallel_dispatch_total'))}",
     ]
-    processor_runs = _family_total(metrics,
-                                   "workflow_processor_runs_total")
+    processor_runs = view.total("workflow_processor_runs_total")
     if processor_runs:
-        failures = _family_total(metrics,
-                                 "workflow_processor_failures_total")
-        items = _family_total(metrics, "workflow_iteration_items_total")
+        failures = view.total("workflow_processor_failures_total")
+        items = view.total("workflow_iteration_items_total")
         lines.append(
             f"  processors run {_fmt(processor_runs)}"
             f" ({_fmt(failures)} failed),"
             f" iteration items {_fmt(items)}"
         )
-    hits = _family_total(metrics, "engine_cache_hits_total")
-    misses = _family_total(metrics, "engine_cache_misses_total")
+    hits = view.total("engine_cache_hits_total")
+    misses = view.total("engine_cache_misses_total")
     lookups = hits + misses
     if lookups:
-        skipped = _family_total(metrics, "cache_store_skipped_total")
+        skipped = view.total("cache_store_skipped_total")
         lines.append(
             f"  result cache: {_fmt(hits)} hits / {_fmt(misses)} misses"
             f" (hit rate {hits / lookups:.1%},"
             f" {_fmt(skipped)} stores skipped)"
         )
-    invalidated = _family_total(metrics, "cache_tag_invalidations_total")
+    invalidated = view.total("cache_tag_invalidations_total")
     if invalidated:
         lines.append(
             f"  tag invalidations dropped {_fmt(invalidated)} "
             f"cached entr{'y' if invalidated == 1 else 'ies'}"
         )
-    taxonomy_hits = _family_total(metrics, "taxonomy_cache_hits_total")
+    taxonomy_hits = view.total("taxonomy_cache_hits_total")
     if taxonomy_hits:
         lines.append(f"  taxonomy memo hits {_fmt(taxonomy_hits)}")
-    catalogue_calls = _family_total(metrics, "service_calls_total")
+    catalogue_calls = view.total("service_calls_total")
     if catalogue_calls:
-        retries = _family_total(metrics, "service_retries_total")
+        retries = view.total("service_retries_total")
         lines.append(
             f"  catalogue service calls {_fmt(catalogue_calls)}"
             f" ({_fmt(retries)} retried)"
         )
-    listener_errors = _family_total(metrics, "engine_listener_errors_total")
+    listener_errors = view.total("engine_listener_errors_total")
     if listener_errors:
         lines.append(f"  listener errors {_fmt(listener_errors)}")
     return lines
 
 
-def _curation_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Curation-pipeline throughput for :func:`render_report` (empty
-    when no stage has run)."""
-    runs = _family_total(metrics, "curation_stage_runs_total")
+def _curation_panel(view: _SnapshotView) -> list[str]:
+    """Curation-pipeline throughput."""
+    runs = view.total("curation_stage_runs_total")
     if not runs:
         return []
-    records = _family_total(metrics, "curation_stage_records_total")
-    return [
-        f"  stage runs {_fmt(runs)},"
-        f" records processed {_fmt(records)}",
-    ]
+    records = view.total("curation_stage_records_total")
+    return [f"  stage runs {_fmt(runs)}, records processed {_fmt(records)}"]
 
 
-def _planner_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Query-planner activity for :func:`render_report` (empty when the
-    planner has made no decisions)."""
-    decisions = _family_total(metrics, "storage_planner_decisions_total")
+def _planner_panel(view: _SnapshotView) -> list[str]:
+    """Query-planner activity."""
+    decisions = view.total("storage_planner_decisions_total")
     if not decisions:
         return []
     return [
         f"  planner decisions {_fmt(decisions)}:"
-        f" index hits {_fmt(_family_total(metrics, 'storage_index_hits_total'))},"
-        f" full scans {_fmt(_family_total(metrics, 'storage_full_scans_total'))}",
-        f"  rows scanned {_fmt(_family_total(metrics, 'storage_rows_scanned_total'))}",
+        f" index hits {_fmt(view.total('storage_index_hits_total'))},"
+        f" full scans {_fmt(view.total('storage_full_scans_total'))}",
+        f"  rows scanned {_fmt(view.total('storage_rows_scanned_total'))}",
     ]
 
 
-def _vault_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """The vault activity summary for :func:`render_report` (empty when
-    no ``vault_*`` series have been recorded)."""
-    if not any(series.split("{", 1)[0].startswith("vault_")
-               for series in metrics):
+def _vault_panel(view: _SnapshotView) -> list[str]:
+    """The preservation vault's ingest, audit and migration activity."""
+    if not view.has("vault_"):
         return []
     lines = [
-        f"  objects ingested {_fmt(_family_total(metrics, 'vault_objects_ingested_total'))}"
-        f" ({_fmt(_family_total(metrics, 'vault_bytes_ingested_total'))} bytes,"
-        f" {_fmt(_family_total(metrics, 'vault_objects_deduplicated_total'))} deduplicated)",
-        f"  audit sweeps {_fmt(_family_total(metrics, 'vault_audit_sweeps_total'))}:"
-        f" {_fmt(_family_total(metrics, 'vault_objects_audited_total'))} objects,"
-        f" {_fmt(_family_total(metrics, 'vault_bytes_audited_total'))} bytes audited",
-        f"  corruptions found {_fmt(_family_total(metrics, 'vault_corruptions_found_total'))},"
-        f" repaired {_fmt(_family_total(metrics, 'vault_corruptions_repaired_total'))}",
-        f"  format migrations {_fmt(_family_total(metrics, 'vault_migrations_total'))}",
+        f"  objects ingested {_fmt(view.total('vault_objects_ingested_total'))}"
+        f" ({_fmt(view.total('vault_bytes_ingested_total'))} bytes,"
+        f" {_fmt(view.total('vault_objects_deduplicated_total'))} deduplicated)",
+        f"  audit sweeps {_fmt(view.total('vault_audit_sweeps_total'))}:"
+        f" {_fmt(view.total('vault_objects_audited_total'))} objects,"
+        f" {_fmt(view.total('vault_bytes_audited_total'))} bytes audited",
+        f"  corruptions found {_fmt(view.total('vault_corruptions_found_total'))},"
+        f" repaired {_fmt(view.total('vault_corruptions_repaired_total'))}",
+        f"  format migrations {_fmt(view.total('vault_migrations_total'))}",
     ]
-    lags = [
-        data["value"] for series, data in metrics.items()
-        if series.split("{", 1)[0] == "vault_replica_lag"
-        and data.get("type") == "gauge"
-    ]
+    lags = view.gauges("vault_replica_lag")
     if lags:
         lines.append(f"  replica lag max {_fmt(max(lags))} object(s)")
     return lines
 
 
-def _federation_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Multi-site federation activity for :func:`render_report` (empty
-    when no ``federation_*`` series have been recorded)."""
-    if not any(series.split("{", 1)[0].startswith("federation_")
-               for series in metrics):
+def _federation_panel(view: _SnapshotView) -> list[str]:
+    """Multi-site federation activity."""
+    if not view.has("federation_"):
         return []
     lines = [
-        f"  objects placed {_fmt(_family_total(metrics, 'federation_objects_stored_total'))}"
-        f" as {_fmt(_family_total(metrics, 'federation_fragments_stored_total'))} fragments"
-        f" ({_fmt(_family_total(metrics, 'federation_bytes_stored_total'))} bytes)",
-        f"  syncs {_fmt(_family_total(metrics, 'federation_sync_runs_total'))}:"
-        f" {_fmt(_family_total(metrics, 'federation_sync_repairs_total'))} fragment(s) repaired,"
-        f" {_fmt(_family_total(metrics, 'federation_sync_unrecoverable_total'))} unrecoverable",
-        f"  sampling scrubs {_fmt(_family_total(metrics, 'federation_audit_scrubs_total'))}:"
-        f" {_fmt(_family_total(metrics, 'federation_objects_scrubbed_total'))} objects,"
-        f" {_fmt(_family_total(metrics, 'federation_corruptions_found_total'))} rotten",
+        f"  objects placed {_fmt(view.total('federation_objects_stored_total'))}"
+        f" as {_fmt(view.total('federation_fragments_stored_total'))} fragments"
+        f" ({_fmt(view.total('federation_bytes_stored_total'))} bytes)",
+        f"  syncs {_fmt(view.total('federation_sync_runs_total'))}:"
+        f" {_fmt(view.total('federation_sync_repairs_total'))} fragment(s) repaired,"
+        f" {_fmt(view.total('federation_sync_unrecoverable_total'))} unrecoverable",
+        f"  sampling scrubs {_fmt(view.total('federation_audit_scrubs_total'))}:"
+        f" {_fmt(view.total('federation_objects_scrubbed_total'))} objects,"
+        f" {_fmt(view.total('federation_corruptions_found_total'))} rotten",
         f"  fragments rebuilt after site loss "
-        f"{_fmt(_family_total(metrics, 'federation_rebuilt_fragments_total'))}",
+        f"{_fmt(view.total('federation_rebuilt_fragments_total'))}",
     ]
-    reads = _family_total(metrics, "federation_reads_total")
+    reads = view.total("federation_reads_total")
     if reads:
         lines.append(f"  objects read back {_fmt(reads)}")
-    for name in ("federation_sites_available", "federation_sites"):
-        for series, data in metrics.items():
-            if series.split("{", 1)[0] == name \
-                    and data.get("type") == "gauge":
-                lines.append(
-                    f"  {name.removeprefix('federation_').replace('_', ' ')}"
-                    f" now {_fmt(data['value'])}"
-                )
-                break
-    return lines
+    return lines + _now_lines(view, (
+        ("federation_sites_available", "sites available"),
+        ("federation_sites", "sites")))
 
 
-def _provstore_panel(metrics: Mapping[str, Any]) -> list[str]:
+def _provstore_panel(view: _SnapshotView) -> list[str]:
     """Archival provenance-store activity and the bytes each captured
-    run persisted, for :func:`render_report` (empty when no
-    ``provstore_*`` series have been recorded)."""
-    if not any(series.split("{", 1)[0].startswith("provstore_")
-               for series in metrics):
+    run persisted."""
+    if not view.has("provstore_"):
         return []
     lines = [
-        f"  runs ingested {_fmt(_family_total(metrics, 'provstore_runs_ingested_total'))}"
-        f" ({_fmt(_family_total(metrics, 'provstore_nodes_ingested_total'))} nodes,"
-        f" {_fmt(_family_total(metrics, 'provstore_edges_ingested_total'))} edges,"
-        f" {_fmt(_family_total(metrics, 'provstore_reingest_skipped_total'))} re-ingests skipped)",
+        f"  runs ingested {_fmt(view.total('provstore_runs_ingested_total'))}"
+        f" ({_fmt(view.total('provstore_nodes_ingested_total'))} nodes,"
+        f" {_fmt(view.total('provstore_edges_ingested_total'))} edges,"
+        f" {_fmt(view.total('provstore_reingest_skipped_total'))} re-ingests skipped)",
     ]
-    for name, label in (("provstore_sealed_segments", "sealed segments"),
-                        ("provstore_tail_runs", "tail runs"),
-                        ("provstore_pool_strings", "interned strings")):
-        for series, data in metrics.items():
-            if series.split("{", 1)[0] == name \
-                    and data.get("type") == "gauge":
-                lines.append(f"  {label} now {_fmt(data['value'])}")
-                break
-    seals = _family_total(metrics, "provstore_segments_sealed_total")
+    lines += _now_lines(view, (
+        ("provstore_sealed_segments", "sealed segments"),
+        ("provstore_tail_runs", "tail runs"),
+        ("provstore_pool_strings", "interned strings")))
+    seals = view.total("provstore_segments_sealed_total")
     if seals:
         lines.append(f"  segment seal operations {_fmt(seals)}")
-    queries = _family_total(metrics, "provstore_queries_total")
+    queries = view.total("provstore_queries_total")
     if queries:
-        truncated = _family_total(metrics, "provstore_truncations_total")
+        truncated = view.total("provstore_truncations_total")
         lines.append(
             f"  lineage queries {_fmt(queries)}"
             f" ({_fmt(truncated)} budget-truncated)"
         )
-    if _family_total(metrics, "provenance_run_bytes_total"):
-        parts = {
-            part: metrics.get(f"provenance_run_bytes_total{{part={part}}}",
-                              {}).get("value", 0)
-            for part in ("skeleton", "values", "graph")
-        }
+    if view.total("provenance_run_bytes_total"):
+        parts = view.by_label("provenance_run_bytes_total", "part")
         lines.append(
-            f"  run bytes persisted: skeletons {_fmt(parts['skeleton'])},"
-            f" new values {_fmt(parts['values'])},"
-            f" graphs {_fmt(parts['graph'])}"
-            f" ({_fmt(_family_total(metrics, 'provenance_values_deduplicated_total'))}"
+            f"  run bytes persisted: skeletons {_fmt(parts.get('skeleton', 0))},"
+            f" new values {_fmt(parts.get('values', 0))},"
+            f" graphs {_fmt(parts.get('graph', 0))}"
+            f" ({_fmt(view.total('provenance_values_deduplicated_total'))}"
             f" values deduplicated)"
         )
     return lines
 
 
-def _analysis_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """The lint activity summary for :func:`render_report` (empty when
-    no ``analysis_*`` series have been recorded)."""
-    if not any(series.split("{", 1)[0].startswith("analysis_")
-               for series in metrics):
+def _analysis_panel(view: _SnapshotView) -> list[str]:
+    """The lint activity summary."""
+    if not view.has("analysis_"):
         return []
-    by_severity: dict[str, float] = {}
-    for series, data in metrics.items():
-        if (series.split("{", 1)[0] == "analysis_diagnostics_total"
-                and data.get("type") == "counter"):
-            label = series.split("{", 1)[1].rstrip("}")
-            labels = dict(part.split("=", 1) for part in label.split(","))
-            severity = labels.get("severity", "unknown")
-            by_severity[severity] = (
-                by_severity.get(severity, 0) + data["value"]
-            )
-    severities = ", ".join(
-        f"{_fmt(by_severity[severity])} {severity}"
-        for severity in ("error", "warning", "info")
-        if severity in by_severity
-    ) or "none"
+    severities = _breakdown(
+        view.by_label("analysis_diagnostics_total", "severity"),
+        ("error", "warning", "info")) or "none"
     lines = [
-        f"  rule passes {_fmt(_family_total(metrics, 'analysis_runs_total'))},"
-        f" diagnostics {_fmt(_family_total(metrics, 'analysis_diagnostics_total'))}"
+        f"  rule passes {_fmt(view.total('analysis_runs_total'))},"
+        f" diagnostics {_fmt(view.total('analysis_diagnostics_total'))}"
         f" ({severities})",
         f"  baseline-suppressed "
-        f"{_fmt(_family_total(metrics, 'analysis_suppressed_total'))}",
+        f"{_fmt(view.total('analysis_suppressed_total'))}",
     ]
-    code_runs = _family_total(metrics, "analysis_code_runs_total")
+    code_runs = view.total("analysis_code_runs_total")
     if code_runs:
         lines.append(
             f"  source analyzer: {_fmt(code_runs)} run(s) over"
-            f" {_fmt(_family_total(metrics, 'analysis_code_files_total'))} file(s) /"
-            f" {_fmt(_family_total(metrics, 'analysis_code_functions_total'))} function(s),"
-            f" findings {_fmt(_family_total(metrics, 'analysis_code_findings_total'))}"
+            f" {_fmt(view.total('analysis_code_files_total'))} file(s) /"
+            f" {_fmt(view.total('analysis_code_functions_total'))} function(s),"
+            f" findings {_fmt(view.total('analysis_code_findings_total'))}"
         )
     return lines
 
 
-def _service_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Request-façade activity for :func:`render_report` (empty until a
-    ``service_requests_total`` series exists — note the taxonomy
-    ``service_measured_availability`` gauge shares the prefix but does
-    not come from the façade)."""
-    if not any(series.split("{", 1)[0] == "service_requests_total"
-               for series in metrics):
+def _service_panel(view: _SnapshotView) -> list[str]:
+    """Request-façade activity (empty until a ``service_requests_total``
+    series exists — note the taxonomy ``service_measured_availability``
+    gauge shares the prefix but does not come from the façade)."""
+    if "service_requests_total" not in view.families:
         return []
-    by_outcome: dict[str, float] = {}
-    for series, data in metrics.items():
-        if (series.split("{", 1)[0] == "service_requests_total"
-                and data.get("type") == "counter"):
-            label = series.split("{", 1)[1].rstrip("}")
-            labels = dict(part.split("=", 1) for part in label.split(","))
-            outcome = labels.get("outcome", "unknown")
-            by_outcome[outcome] = by_outcome.get(outcome, 0) + data["value"]
-    total = sum(by_outcome.values())
-    outcomes = ", ".join(
-        f"{_fmt(by_outcome[outcome])} {outcome}"
-        for outcome in ("ok", "rejected", "conflict", "error")
-        if outcome in by_outcome
-    ) or "none"
-    lines = [f"  requests {_fmt(total)} ({outcomes})"]
-    count = 0
-    weighted_sum = 0.0
-    latency_max: float | None = None
-    for series, data in metrics.items():
-        if (series.split("{", 1)[0] == "service_request_seconds"
-                and data.get("count")):
-            count += data["count"]
-            weighted_sum += data["sum"]
-            if latency_max is None or data["max"] > latency_max:
-                latency_max = data["max"]
-    if count:
+    by_outcome = view.by_label("service_requests_total", "outcome")
+    outcomes = _breakdown(
+        by_outcome, ("ok", "rejected", "conflict", "error")) or "none"
+    lines = [f"  requests {_fmt(sum(by_outcome.values()))} ({outcomes})"]
+    latencies = [data for _, data in view.series("service_request_seconds")
+                 if data.get("count")]
+    if latencies:
+        count = sum(data["count"] for data in latencies)
+        weighted_sum = sum((data["sum"] for data in latencies), 0.0)
         lines.append(
             f"  latency mean {_fmt(weighted_sum / count)}s,"
-            f" max {_fmt(latency_max)}s over {_fmt(count)} request(s)"
+            f" max {_fmt(max(data['max'] for data in latencies))}s"
+            f" over {_fmt(count)} request(s)"
         )
-    rejected = _family_total(metrics, "service_admission_rejected_total")
-    quota = _family_total(metrics, "service_quota_rejected_total")
+    rejected = view.total("service_admission_rejected_total")
+    quota = view.total("service_quota_rejected_total")
     if rejected or quota:
         lines.append(
-            f"  shed load: admission {_fmt(rejected)},"
-            f" quota {_fmt(quota)}"
-        )
-    errors = _family_total(metrics, "service_errors_total")
-    unexpected = _family_total(metrics, "service_unexpected_errors_total")
+            f"  shed load: admission {_fmt(rejected)}, quota {_fmt(quota)}")
+    errors = view.total("service_errors_total")
+    unexpected = view.total("service_unexpected_errors_total")
     if errors or unexpected:
         lines.append(
             f"  operation errors {_fmt(errors)}"
             f" ({_fmt(unexpected)} unexpected)"
         )
-    retries = _family_total(metrics, "service_conflict_retries_total")
-    conflicts = _family_total(metrics, "storage_transaction_conflicts_total")
+    retries = view.total("service_conflict_retries_total")
+    conflicts = view.total("storage_transaction_conflicts_total")
     if retries or conflicts:
         lines.append(
             f"  write conflicts {_fmt(conflicts)}"
             f" (ingest retries {_fmt(retries)})"
         )
-    snapshots = _family_total(metrics, "storage_snapshots_total")
+    snapshots = view.total("storage_snapshots_total")
     if snapshots:
         lines.append(f"  MVCC snapshots taken {_fmt(snapshots)}")
-    abandoned = _family_total(metrics, "storage_rollback_failures_total")
+    abandoned = view.total("storage_rollback_failures_total")
     if abandoned:
         lines.append(
             f"  rollback failures (transactions abandoned) {_fmt(abandoned)}"
         )
-    for name in ("service_in_flight", "service_queue_depth"):
-        for series, data in metrics.items():
-            if series.split("{", 1)[0] == name \
-                    and data.get("type") == "gauge":
-                lines.append(
-                    f"  {name.removeprefix('service_')} now "
-                    f"{_fmt(data['value'])}"
-                )
-                break
-    return lines
+    return lines + _now_lines(view, (("service_in_flight", "in_flight"),
+                                     ("service_queue_depth", "queue_depth")))
 
 
-def _streaming_panel(metrics: Mapping[str, Any]) -> list[str]:
-    """Continuous-ingest and incremental-curation activity for
-    :func:`render_report` (empty until a ``streaming_*`` series
-    exists)."""
-    if not any(series.split("{", 1)[0].startswith("streaming_")
-               for series in metrics):
+def _streaming_panel(view: _SnapshotView) -> list[str]:
+    """Continuous-ingest and incremental-curation activity."""
+    if not view.has("streaming_"):
         return []
     lines: list[str] = []
-    ingested = _family_total(metrics, "streaming_ingested_total")
-    rejected = _family_total(metrics, "streaming_rejected_total")
-    batches = _family_total(metrics, "streaming_batches_total")
+    ingested = view.total("streaming_ingested_total")
+    rejected = view.total("streaming_rejected_total")
     if ingested or rejected:
-        depth = None
-        for series, data in metrics.items():
-            if series.split("{", 1)[0] == "streaming_buffer_depth" \
-                    and data.get("type") == "gauge":
-                depth = data["value"]
-                break
+        depths = view.gauges("streaming_buffer_depth")
         lines.append(
             f"  ingested {_fmt(ingested)} record(s) in "
-            f"{_fmt(batches)} micro-batch(es), "
+            f"{_fmt(view.total('streaming_batches_total'))} micro-batch(es), "
             f"{_fmt(rejected)} rejected by backpressure"
-            + (f", buffer depth now {_fmt(depth)}"
-               if depth is not None else "")
+            + (f", buffer depth now {_fmt(depths[0])}" if depths else "")
         )
-    sweeps = _family_total(metrics, "streaming_sweeps_total")
+    sweeps = view.total("streaming_sweeps_total")
     if sweeps:
-        recomputed = _family_total(
-            metrics, "streaming_shards_recomputed_total")
-        reused = _family_total(metrics, "streaming_shards_reused_total")
+        recomputed = view.total("streaming_shards_recomputed_total")
+        reused = view.total("streaming_shards_reused_total")
         total_shards = recomputed + reused
         lines.append(
             f"  {_fmt(sweeps)} assessment sweep(s): "
@@ -545,39 +426,46 @@ def _streaming_panel(metrics: Mapping[str, Any]) -> list[str]:
             + (f" (dirty fraction {recomputed / total_shards:.1%})"
                if total_shards else "")
         )
-    dirty = _family_total(metrics, "streaming_dirty_records_total")
+    dirty = view.total("streaming_dirty_records_total")
     if dirty:
         lines.append(f"  dirty records observed {_fmt(dirty)}")
-    rechecks = _family_total(metrics, "streaming_rechecks_total")
+    rechecks = view.total("streaming_rechecks_total")
     if rechecks:
-        by_reason: dict[str, float] = {}
-        for series, data in metrics.items():
-            if (series.split("{", 1)[0] == "streaming_rechecks_total"
-                    and data.get("type") == "counter" and "{" in series):
-                label = series.split("{", 1)[1].rstrip("}")
-                labels = dict(
-                    part.split("=", 1) for part in label.split(","))
-                reason = labels.get("reason", "unknown")
-                by_reason[reason] = by_reason.get(reason, 0) + data["value"]
-        detail = ", ".join(
-            f"{_fmt(by_reason[reason])} {reason}"
-            for reason in sorted(by_reason)
-        )
+        by_reason = view.by_label("streaming_rechecks_total", "reason")
+        detail = _breakdown(by_reason, sorted(by_reason))
         lines.append(
             f"  rechecks enqueued {_fmt(rechecks)}"
             + (f" ({detail})" if detail else "")
         )
-    for series in sorted(metrics):
-        family = series.split("{", 1)[0]
-        data = metrics[series]
-        if family.startswith("streaming_window_") \
-                and data.get("type") == "window" and data.get("count"):
-            lines.append(
-                f"  {family.removeprefix('streaming_window_')} lately: "
-                f"mean {_fmt(data['mean'])}, last {_fmt(data['last'])} "
-                f"over {_fmt(data['count'])} sample(s)"
-            )
+    windows = sorted(
+        (format_series(family, tuple(labels.items())), family, data)
+        for family in view.families
+        if family.startswith("streaming_window_")
+        for labels, data in view.series(family, "window")
+        if data.get("count")
+    )
+    for _, family, data in windows:
+        lines.append(
+            f"  {family.removeprefix('streaming_window_')} lately: "
+            f"mean {_fmt(data['mean'])}, last {_fmt(data['last'])} "
+            f"over {_fmt(data['count'])} sample(s)"
+        )
     return lines
+
+
+#: The panels :func:`render_report` prints after the generic sections,
+#: in order, each under its title when it returns any lines.
+_PANELS = (
+    ("engine scheduling & caches", _engine_panel),
+    ("curation pipeline", _curation_panel),
+    ("storage query planner", _planner_panel),
+    ("preservation vault", _vault_panel),
+    ("federated vault", _federation_panel),
+    ("provenance store", _provstore_panel),
+    ("static analysis", _analysis_panel),
+    ("multi-tenant service", _service_panel),
+    ("streaming curation", _streaming_panel),
+)
 
 
 def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
@@ -592,27 +480,18 @@ def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     * ``last_run_finished`` — simulated finish time of the latest run
       (the raw material for timeliness metrics).
     """
-    metrics: Mapping[str, Any] = snapshot.get("metrics", {})
+    view = _SnapshotView(snapshot.get("metrics", {}))
     signals: dict[str, Any] = {}
 
-    availability: dict[str, float] = {}
-    for series, data in metrics.items():
-        if series.startswith("service_measured_availability{"):
-            label = series.split("{", 1)[1].rstrip("}")
-            service = dict(
-                part.split("=", 1) for part in label.split(",")
-            ).get("service", label)
-            availability[service] = data["value"]
+    availability = {
+        labels.get("service", _label_text(labels)): data["value"]
+        for labels, data in view.series("service_measured_availability")
+        if labels
+    }
     if availability:
         signals["measured_availability"] = availability
 
-    run_counts: dict[str, float] = {}
-    for series, data in metrics.items():
-        if series.startswith("workflow_runs_total{"):
-            label = series.split("{", 1)[1].rstrip("}")
-            labels = dict(part.split("=", 1) for part in label.split(","))
-            status = labels.get("status", "unknown")
-            run_counts[status] = run_counts.get(status, 0) + data["value"]
+    run_counts = view.by_label("workflow_runs_total", "status")
     if run_counts:
         signals["run_counts"] = run_counts
         total = sum(run_counts.values())
@@ -622,19 +501,16 @@ def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
             )
             signals["failure_fraction"] = run_counts.get("failed", 0) / total
 
-    processor_seconds: dict[str, dict[str, Any]] = {}
-    for series, data in metrics.items():
-        if (series.startswith("workflow_processor_seconds{")
-                and data.get("count")):
-            label = series.split("{", 1)[1].rstrip("}")
-            labels = dict(part.split("=", 1) for part in label.split(","))
-            processor = labels.get("processor", label)
-            processor_seconds[processor] = {
-                "count": data["count"],
-                "mean": data["mean"],
-                "max": data["max"],
-                "sum": data["sum"],
-            }
+    processor_seconds = {
+        labels.get("processor", _label_text(labels)): {
+            "count": data["count"],
+            "mean": data["mean"],
+            "max": data["max"],
+            "sum": data["sum"],
+        }
+        for labels, data in view.series("workflow_processor_seconds")
+        if labels and data.get("count")
+    }
     if processor_seconds:
         signals["processor_seconds"] = processor_seconds
 
@@ -644,3 +520,8 @@ def quality_signals(snapshot: Mapping[str, Any]) -> dict[str, Any]:
             signals["last_run_finished"] = entry["finished"]
             break
     return signals
+
+
+def _label_text(labels: Labels) -> str:
+    """The ``key=value,...`` text a series key carries in braces."""
+    return ",".join(f"{key}={value}" for key, value in labels.items())

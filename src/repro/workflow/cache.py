@@ -22,12 +22,14 @@ A hit is spliced into the trace with a ``wasCachedFrom`` marker naming
 the run/processor that actually computed the value, so the exported OPM
 provenance never claims a re-execution that did not happen.
 
-Entries may carry **tags** — opaque strings such as ``record:1042`` or
-``resource:catalogue`` naming the upstream dependencies an invocation
-read.  :meth:`ResultCache.invalidate_tags` drops every entry carrying
-any of the given tags in one sweep, which is how the streaming layer
-(:mod:`repro.streaming`) turns "record X changed" or "the catalogue
-advanced" into a dirty set without re-digesting the whole collection.
+Entries may carry **tags** — opaque strings naming the upstream
+dependencies an invocation read; :func:`record_tag` (``record:1042``)
+and :func:`resource_tag` (``resource:catalogue``) spell the shared
+vocabulary.  :meth:`ResultCache.invalidate_tags` drops every entry
+carrying any of the given tags in one sweep, which is how the streaming
+layer (:mod:`repro.streaming`) turns "record X changed" or "the
+catalogue advanced" into stale entries without re-digesting the whole
+collection.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Any, Iterable, Mapping
 
 from repro.hashing import canonical_digest
 
-__all__ = ["CachedResult", "ResultCache", "invocation_key"]
+__all__ = ["CachedResult", "ResultCache", "invocation_key", "record_tag",
+           "resource_tag"]
 
 #: scalars whose canonical JSON form is a pure function of their value
 #: (dates/datetimes serialize via ``default=str``, which is stable)
@@ -60,6 +63,18 @@ def _json_plain(value: Any) -> bool:
             for key, item in value.items()
         )
     return False
+
+
+def record_tag(record_id: Any) -> str:
+    """The cache tag of an invocation that read collection row
+    ``record_id``."""
+    return f"record:{record_id}"
+
+
+def resource_tag(name: str) -> str:
+    """The cache tag of an invocation whose result depends on external
+    resource ``name`` (taxonomy registry, gazetteer, function table)."""
+    return f"resource:{name}"
 
 
 def invocation_key(processor: Any, implementation: Any,

@@ -103,6 +103,28 @@ class TestCorruption:
         recovered = Database.recover("d", path)
         assert recovered.count("t") == 1
 
+    def test_commits_after_recovering_a_cut_tail_survive(self, tmp_path):
+        """Cut the last entry at every byte offset, recover, commit
+        twice, recover again: every surviving and new commit is there."""
+        path = tmp_path / "j.log"
+        db = make_db(path)
+        db.insert("t", {"id": 1, "name": "a"})
+        before_last = path.stat().st_size
+        db.insert("t", {"id": 2, "name": "b"})
+        intact = path.read_bytes()
+        for cut in range(before_last, len(intact)):
+            path.write_bytes(intact[:cut])
+            recovered = Database.recover("d", path)
+            kept = {1, 2} if cut == len(intact) - 1 else {1}
+            assert {row["id"] for row in recovered.table("t").rows()} \
+                == kept, cut
+            recovered.insert("t", {"id": 3, "name": "c"})
+            recovered.insert("t", {"id": 4, "name": "d"})
+            again = Database.recover("d", path)
+            assert {row["id"] for row in again.table("t").rows()} \
+                == kept | {3, 4}, cut
+            assert path.read_bytes().endswith(b"\n")
+
     def test_corruption_in_middle_raises(self, tmp_path):
         path = tmp_path / "j.log"
         db = make_db(path)

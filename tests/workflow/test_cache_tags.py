@@ -1,10 +1,18 @@
 """Tag-based invalidation on the result cache."""
 
-from repro.workflow.cache import ResultCache
+from repro.workflow.cache import ResultCache, record_tag, resource_tag
 
 
 def put(cache, key, tags=()):
     cache.put(key, {"x": key}, source=f"run/{key}", tags=tags)
+
+
+class TestTagVocabulary:
+    def test_record_tag(self):
+        assert record_tag(42) == "record:42"
+
+    def test_resource_tag(self):
+        assert resource_tag("catalogue") == "resource:catalogue"
 
 
 class TestTagging:

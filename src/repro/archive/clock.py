@@ -32,7 +32,3 @@ class TickClock:
         current = self._now
         self._now = current + _dt.timedelta(seconds=self.step_seconds)
         return current
-
-    def peek(self) -> _dt.datetime:
-        """The next reading, without advancing."""
-        return self._now

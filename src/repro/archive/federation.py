@@ -33,6 +33,7 @@ instrumented through ``federation_*`` telemetry series.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Sequence
 
 from repro.archive.clock import TickClock
@@ -45,6 +46,7 @@ from repro.archive.placement import (
     RedundancyScheme,
     replica_durability,
 )
+from repro.archive.runs import MaintenanceRun
 from repro.archive.sites import ScrubFinding, Site, SiteTopology
 from repro.errors import (
     ArchiveError,
@@ -55,10 +57,8 @@ from repro.errors import (
     SiteUnavailableError,
 )
 from repro.hashing import canonical_json, sha256_hex
-from repro.provenance.opm import OPMGraph
 from repro.provenance.repository import ProvenanceRepository
 from repro.telemetry import Telemetry, get_telemetry
-from repro.workflow.trace import ProcessorRun, WorkflowTrace
 
 __all__ = ["FederatedVault", "FederatedObject", "Placement",
            "SyncReport", "AuditSampleReport", "RebuildReport",
@@ -242,11 +242,14 @@ class FederatedVault:
         Metrics sink (``federation_*`` series).
     """
 
+    #: the OPM agent controlling syncs, audits and rebuilds
+    agent_id = "agent/federation"
+    agent_label = "federation manager"
+
     def __init__(self, topology: SiteTopology,
                  policy: PlacementPolicy | None = None,
                  provenance: ProvenanceRepository | None = None,
                  telemetry: Telemetry | None = None,
-                 agent_id: str = "agent/federation",
                  clock: Any | None = None) -> None:
         if not len(topology):
             raise ArchiveError("a federated vault needs at least one site")
@@ -256,16 +259,12 @@ class FederatedVault:
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
         self.telemetry = telemetry or get_telemetry()
-        self.agent_id = agent_id
         self.clock = clock or TickClock()
         self._catalog: dict[str, FederatedObject] = {}
         #: per site: the manifest of what the catalog says it SHOULD hold
         self._expected: dict[str, MerkleManifest] = {}
         #: stored fragment key -> (object digest, placement)
         self._fragment_index: dict[str, tuple[str, Placement]] = {}
-        self._syncs = 0
-        self._audits = 0
-        self._rebuilds = 0
         self._refresh_site_gauges()
 
     def __repr__(self) -> str:
@@ -473,11 +472,8 @@ class FederatedVault:
         comparison, so a clean 10k-object site syncs in O(1) and a
         damaged one in O(depth · divergent buckets).
         """
-        self._syncs += 1
-        run_id = f"federation/sync-{self._syncs:04d}"
-        report = SyncReport(run_id)
-        started = self.clock.now()
-        trace = WorkflowTrace(run_id, SYNC_WORKFLOW, started)
+        run = MaintenanceRun(self, SYNC_WORKFLOW, "federation/sync")
+        report = SyncReport(run.run_id)
         metrics = self.telemetry.metrics
         metrics.counter("federation_sync_runs_total").inc()
 
@@ -535,37 +531,19 @@ class FederatedVault:
                 })
                 metrics.counter("federation_sync_repairs_total",
                                 reason=reason).inc()
-            trace.record_run(ProcessorRun(
-                f"sync:{site.name}", "federation_sync",
-                step_started, self.clock.now(),
-            ))
+            run.step(f"sync:{site.name}", step_started)
 
-        finished = self.clock.now()
-        trace.inputs = {"sites": report.sites_synced}
-        trace.outputs = report.to_dict()
-        trace.finish(finished,
-                     "completed" if not report.unrecoverable
-                     else "degraded")
-        self.provenance.store_run(
-            trace, self._sync_graph(report, started, finished))
-        self._refresh_site_gauges()
-        return report
-
-    def _sync_graph(self, report: SyncReport, started: Any,
-                    finished: Any) -> OPMGraph:
-        graph = OPMGraph(report.run_id)
-        process_id = f"{report.run_id}/sync"
-        graph.add_process(process_id, label="federated manifest sync",
-                          annotations={
-                              "started": str(started),
-                              "finished": str(finished),
-                              "sites": list(report.sites_synced),
-                              "nodes_compared": report.nodes_compared,
-                              "diverged": len(report.diverged),
-                              "repaired": len(report.repaired),
-                          })
-        graph.add_agent(self.agent_id, label="federation manager")
-        graph.was_controlled_by(process_id, self.agent_id, role="sync")
+        run.finish(degraded=bool(report.unrecoverable))
+        run.trace.inputs = {"sites": report.sites_synced}
+        run.trace.outputs = report.to_dict()
+        process_id = run.process("sync", "federated manifest sync", "sync", {
+            **run.timespan(),
+            "sites": list(report.sites_synced),
+            "nodes_compared": report.nodes_compared,
+            "diverged": len(report.diverged),
+            "repaired": len(report.repaired),
+        })
+        graph = run.graph
         for repair in report.repaired:
             if repair["role"] == "stray":
                 continue
@@ -580,7 +558,9 @@ class FederatedVault:
             graph.was_generated_by(fragment_id, process_id,
                                    role="restored")
             graph.was_derived_from(fragment_id, source_id)
-        return graph
+        run.store()
+        self._refresh_site_gauges()
+        return report
 
     # ------------------------------------------------------------------
     # sampling audit
@@ -592,10 +572,7 @@ class FederatedVault:
         holdings; findings update the sites' manifests (so the next
         :meth:`sync` localizes and repairs them) and the pass is
         persisted as an OPM run."""
-        self._audits += 1
-        run_id = f"federation/audit-{self._audits:04d}"
-        started = self.clock.now()
-        trace = WorkflowTrace(run_id, AUDIT_WORKFLOW, started)
+        run = MaintenanceRun(self, AUDIT_WORKFLOW, "federation/audit")
         metrics = self.telemetry.metrics
         findings: list[ScrubFinding] = []
         scrubbed = 0
@@ -603,15 +580,12 @@ class FederatedVault:
             step_started = self.clock.now()
             catalog_size = len(site.store)
             site_findings = site.scrub(sample_fraction=sample_fraction,
-                                       seed=seed + self._audits)
+                                       seed=seed + run.number)
             findings.extend(site_findings)
             scrubbed += (max(1, round(catalog_size * sample_fraction))
                          if catalog_size else 0)
-            trace.record_run(ProcessorRun(
-                f"scrub:{site.name}", "federation_audit",
-                step_started, self.clock.now(),
-            ))
-        report = AuditSampleReport(run_id, sample_fraction, scrubbed,
+            run.step(f"scrub:{site.name}", step_started)
+        report = AuditSampleReport(run.run_id, sample_fraction, scrubbed,
                                    findings)
         metrics.counter("federation_audit_scrubs_total").inc()
         metrics.counter("federation_objects_scrubbed_total").inc(scrubbed)
@@ -619,31 +593,24 @@ class FederatedVault:
             metrics.counter("federation_corruptions_found_total",
                             state=finding.state).inc()
 
-        finished = self.clock.now()
-        trace.inputs = {"sample_fraction": sample_fraction,
-                        "sites": [s.name for s in
-                                  self.topology.available_sites()]}
-        trace.outputs = report.to_dict()
-        trace.finish(finished,
-                     "completed" if report.healthy else "degraded")
-        graph = OPMGraph(run_id)
-        process_id = f"{run_id}/scrub"
-        graph.add_process(process_id, label="federated sampling audit",
-                          annotations={
-                              "started": str(started),
-                              "finished": str(finished),
-                              "sample_fraction": sample_fraction,
-                              "objects_scrubbed": scrubbed,
-                              "findings": len(findings),
-                          })
-        graph.add_agent(self.agent_id, label="federation manager")
-        graph.was_controlled_by(process_id, self.agent_id, role="auditor")
+        run.finish(degraded=not report.healthy)
+        run.trace.inputs = {"sample_fraction": sample_fraction,
+                            "sites": [s.name for s in
+                                      self.topology.available_sites()]}
+        run.trace.outputs = report.to_dict()
+        process_id = run.process(
+            "scrub", "federated sampling audit", "auditor", {
+                **run.timespan(),
+                "sample_fraction": sample_fraction,
+                "objects_scrubbed": scrubbed,
+                "findings": len(findings),
+            })
         for finding in findings:
             artifact_id = f"fragment:{finding.site}/{finding.digest}"
-            graph.add_artifact(artifact_id, label=artifact_id,
-                               annotations={"state": finding.state})
-            graph.used(process_id, artifact_id, role="flagged")
-        self.provenance.store_run(trace, graph)
+            run.graph.add_artifact(artifact_id, label=artifact_id,
+                                   annotations={"state": finding.state})
+            run.graph.used(process_id, artifact_id, role="flagged")
+        run.store()
         return report
 
     # ------------------------------------------------------------------
@@ -661,16 +628,10 @@ class FederatedVault:
                 f"site {lost_site} is still available; fail it first "
                 "(topology.fail_site) before rebuilding away from it"
             )
-        self._rebuilds += 1
-        run_id = f"federation/rebuild-{self._rebuilds:04d}"
-        report = RebuildReport(run_id, lost_site)
-        started = self.clock.now()
-        trace = WorkflowTrace(run_id, REBUILD_WORKFLOW, started)
+        run = MaintenanceRun(self, REBUILD_WORKFLOW, "federation/rebuild")
+        report = RebuildReport(run.run_id, lost_site)
         metrics = self.telemetry.metrics
-
-        graph = OPMGraph(run_id)
-        process_id = f"{run_id}/rebuild"
-        graph.add_agent(self.agent_id, label="federation manager")
+        graph = run.graph
 
         for record in self.objects():
             for placement in record.placements_on(lost_site):
@@ -715,32 +676,23 @@ class FederatedVault:
                 graph.add_artifact(fragment_id, label=fragment_id,
                                    annotations={"was_on": lost_site})
                 graph.was_derived_from(fragment_id, source_id)
-                trace.record_run(ProcessorRun(
-                    f"rebuild:{placement.role}", "site_rebuild",
-                    step_started, self.clock.now(),
-                ))
+                run.step(f"rebuild:{placement.role}", step_started)
 
-        finished = self.clock.now()
-        graph.add_process(process_id, label=f"rebuild of {lost_site}",
-                          annotations={
-                              "started": str(started),
-                              "finished": str(finished),
-                              "fragments_rebuilt": len(report.rebuilt),
-                              "unrecoverable": len(report.unrecoverable),
-                          })
-        graph.was_controlled_by(process_id, self.agent_id,
-                                role="rebuilder")
+        run.finish(degraded=bool(report.unrecoverable))
+        process_id = run.process(
+            "rebuild", f"rebuild of {lost_site}", "rebuilder", {
+                **run.timespan(),
+                "fragments_rebuilt": len(report.rebuilt),
+                "unrecoverable": len(report.unrecoverable),
+            })
         for entry in report.rebuilt:
             fragment_id = (f"fragment:{entry['to']}/{entry['role']}/"
                            f"{entry['digest']}")
             graph.was_generated_by(fragment_id, process_id,
                                    role="rebuilt")
-        trace.inputs = {"lost_site": lost_site}
-        trace.outputs = report.to_dict()
-        trace.finish(finished,
-                     "completed" if not report.unrecoverable
-                     else "degraded")
-        self.provenance.store_run(trace, graph)
+        run.trace.inputs = {"lost_site": lost_site}
+        run.trace.outputs = report.to_dict()
+        run.store()
         self._refresh_site_gauges()
         return report
 
@@ -818,21 +770,14 @@ class FederatedVault:
         metrics.gauge("federation_objects").set(len(self._catalog))
 
     def status(self) -> dict[str, Any]:
-        by_scheme: dict[str, int] = {}
-        for record in self._catalog.values():
-            by_scheme[record.scheme.kind] = (
-                by_scheme.get(record.scheme.kind, 0) + 1)
-        runs_by_workflow: dict[str, int] = {}
-        for run in self.provenance.runs():
-            name = run["workflow_name"]
-            runs_by_workflow[name] = runs_by_workflow.get(name, 0) + 1
+        by_scheme = Counter(r.scheme.kind for r in self._catalog.values())
         return {
             "sites": self.topology.to_dict()["sites"],
             "regions": self.topology.regions(),
             "objects": len(self._catalog),
-            "objects_by_scheme": by_scheme,
+            "objects_by_scheme": dict(by_scheme),
             "storage_cost": self.storage_cost(),
-            "provenance_runs": runs_by_workflow,
+            "provenance_runs": self.provenance.run_counts(),
             "simulated_io_ms": {
                 site.name: round(site.simulated_io_ms, 3)
                 for site in self.topology.sites()

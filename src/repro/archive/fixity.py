@@ -32,9 +32,8 @@ from typing import Any, Sequence
 
 from repro.archive.clock import TickClock
 from repro.archive.replicas import RepairAction, ReplicaGroup, ReplicaStatus
-from repro.provenance.opm import OPMGraph
+from repro.archive.runs import MaintenanceRun
 from repro.provenance.repository import ProvenanceRepository
-from repro.workflow.trace import ProcessorRun, WorkflowTrace
 
 __all__ = ["AuditReport", "FixityAuditor",
            "AUDIT_WORKFLOW", "REPAIR_WORKFLOW"]
@@ -115,25 +114,23 @@ class FixityAuditor:
         The replica group under audit.
     provenance:
         Where audit/repair runs are persisted as OPM graphs.
-    agent_id:
-        The OPM agent owning the verifications.
     clock:
         ``now() -> datetime``; a fresh deterministic
         :class:`~repro.archive.clock.TickClock` by default.
     """
 
+    #: the OPM agent owning the verifications
+    agent_id = "agent/fixity-auditor"
+    agent_label = "fixity auditor"
+
     def __init__(self, group: ReplicaGroup,
                  provenance: ProvenanceRepository | None = None,
-                 agent_id: str = "agent/fixity-auditor",
                  clock: Any | None = None) -> None:
         self.group = group
         # `is not None`: an empty (falsy) repository must still be used
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
-        self.agent_id = agent_id
         self.clock = clock or TickClock()
-        self._sweeps = 0
-        self._repairs = 0
 
     # ------------------------------------------------------------------
     # auditing
@@ -142,53 +139,34 @@ class FixityAuditor:
     def sweep(self, digests: Sequence[str] | None = None) -> AuditReport:
         """Re-verify every replica of every object (or of ``digests``),
         and persist the sweep as an OPM provenance run."""
-        self._sweeps += 1
-        run_id = f"fixity/sweep-{self._sweeps:04d}"
-        started = self.clock.now()
+        run = MaintenanceRun(self, AUDIT_WORKFLOW, "fixity/sweep")
         statuses, bytes_audited = self.group.survey(digests)
-        report = AuditReport(run_id, statuses, bytes_audited)
+        report = AuditReport(run.run_id, statuses, bytes_audited)
 
-        trace = WorkflowTrace(run_id, AUDIT_WORKFLOW, started)
-        trace.inputs = {"objects": len(statuses),
-                        "stores": [s.name for s in self.group.stores]}
+        run.trace.inputs = {"objects": len(statuses),
+                            "stores": [s.name for s in self.group.stores]}
         for member in self.group.stores:
-            store_started = self.clock.now()
-            trace.record_run(ProcessorRun(
-                f"verify:{member.name}", "fixity_sweep",
-                store_started, self.clock.now(),
-            ))
-        finished = self.clock.now()
-        trace.outputs = report.to_dict()
-        trace.finish(finished,
-                     "completed" if report.healthy else "degraded")
+            run.step(f"verify:{member.name}", self.clock.now(),
+                     kind="fixity_sweep")
+        run.trace.outputs = report.to_dict()
+        run.finish(degraded=not report.healthy)
 
-        self.provenance.store_run(trace, self._audit_graph(report, started,
-                                                           finished))
-        return report
-
-    def _audit_graph(self, report: AuditReport, started: Any,
-                     finished: Any) -> OPMGraph:
-        graph = OPMGraph(report.run_id)
-        process_id = f"{report.run_id}/sweep"
-        graph.add_process(process_id, label="fixity audit sweep",
-                          annotations={
-                              "started": str(started),
-                              "finished": str(finished),
-                              "objects_checked": report.objects_checked,
-                              "replicas_checked": report.replicas_checked,
-                              "bytes_audited": report.bytes_audited,
-                              "corrupt_found": len(report.corrupt),
-                              "missing_found": len(report.missing),
-                          })
-        graph.add_agent(self.agent_id, label="fixity auditor")
-        graph.was_controlled_by(process_id, self.agent_id, role="auditor")
+        process_id = run.process("sweep", "fixity audit sweep", "auditor", {
+            **run.timespan(),
+            "objects_checked": report.objects_checked,
+            "replicas_checked": report.replicas_checked,
+            "bytes_audited": report.bytes_audited,
+            "corrupt_found": len(report.corrupt),
+            "missing_found": len(report.missing),
+        })
         for status in report.statuses:
             artifact_id = f"cas:{status.digest}"
-            graph.add_artifact(artifact_id, label=artifact_id,
-                               annotations={"fixity": dict(status.states)})
-            graph.used(process_id, artifact_id,
-                       role="verified" if status.intact else "flagged")
-        return graph
+            run.graph.add_artifact(artifact_id, label=artifact_id,
+                                   annotations={"fixity": dict(status.states)})
+            run.graph.used(process_id, artifact_id,
+                           role="verified" if status.intact else "flagged")
+        run.store()
+        return report
 
     # ------------------------------------------------------------------
     # repair provenance
@@ -199,20 +177,11 @@ class FixityAuditor:
         id (``None`` when there was nothing to record)."""
         if not actions:
             return None
-        self._repairs += 1
-        run_id = f"fixity/repair-{self._repairs:04d}"
-        started = self.clock.now()
-
-        trace = WorkflowTrace(run_id, REPAIR_WORKFLOW, started)
-        trace.inputs = {"replicas_to_repair": len(actions)}
-        graph = OPMGraph(run_id)
-        process_id = f"{run_id}/repair"
-        graph.add_process(process_id, label="replica repair",
-                          annotations={
-                              "replicas_repaired": len(actions),
-                          })
-        graph.add_agent(self.agent_id, label="fixity auditor")
-        graph.was_controlled_by(process_id, self.agent_id, role="repairer")
+        run = MaintenanceRun(self, REPAIR_WORKFLOW, "fixity/repair")
+        run.trace.inputs = {"replicas_to_repair": len(actions)}
+        graph = run.graph
+        process_id = run.process("repair", "replica repair", "repairer",
+                                 {"replicas_repaired": len(actions)})
         for action in actions:
             source_id = f"cas:{action.digest}"
             graph.add_artifact(source_id, label=source_id)
@@ -224,12 +193,8 @@ class FixityAuditor:
                                             "attempts": action.attempts})
             graph.was_generated_by(copy_id, process_id, role="restored")
             graph.was_derived_from(copy_id, source_id)
-            run_started = self.clock.now()
-            trace.record_run(ProcessorRun(
-                f"restore:{action.store}", "replica_repair",
-                run_started, self.clock.now(),
-            ))
-        trace.outputs = {"actions": [a.to_dict() for a in actions]}
-        trace.finish(self.clock.now(), "completed")
-        self.provenance.store_run(trace, graph)
-        return run_id
+            run.step(f"restore:{action.store}", self.clock.now())
+        run.trace.outputs = {"actions": [a.to_dict() for a in actions]}
+        run.finish()
+        run.store()
+        return run.run_id

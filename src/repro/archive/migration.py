@@ -28,13 +28,12 @@ from typing import Any, Mapping, Sequence
 
 from repro.archive.clock import TickClock
 from repro.archive.replicas import ReplicaGroup
+from repro.archive.runs import MaintenanceRun
 from repro.core.preservation import PreservationPolicy
 from repro.errors import MigrationError
 from repro.hashing import canonical_json
-from repro.provenance.opm import OPMGraph
 from repro.provenance.repository import ProvenanceRepository
 from repro.sounds.formats import SOUND_FORMATS, Era
-from repro.workflow.trace import ProcessorRun, WorkflowTrace
 
 __all__ = ["MigrationStep", "MigrationPlan", "MigrationReport",
            "FormatMigrationPlanner", "at_risk_formats",
@@ -135,23 +134,22 @@ class FormatMigrationPlanner:
         The replica group holding the payloads.
     provenance:
         Where migration runs are persisted as OPM graphs.
-    agent_id:
-        The OPM agent controlling migrations.
     clock:
         ``now() -> datetime``; deterministic tick clock by default.
     """
 
+    #: the OPM agent controlling migrations
+    agent_id = "agent/migration-planner"
+    agent_label = "format migration planner"
+
     def __init__(self, group: ReplicaGroup,
                  provenance: ProvenanceRepository | None = None,
-                 agent_id: str = "agent/migration-planner",
                  clock: Any | None = None) -> None:
         self.group = group
         # `is not None`: an empty (falsy) repository must still be used
         self.provenance = (provenance if provenance is not None
                            else ProvenanceRepository())
-        self.agent_id = agent_id
         self.clock = clock or TickClock()
-        self._runs = 0
 
     # ------------------------------------------------------------------
     # planning
@@ -195,14 +193,9 @@ class FormatMigrationPlanner:
         id) — an empty plan records nothing."""
         if not plan.steps:
             return MigrationReport(None, [])
-        self._runs += 1
-        run_id = f"migration/run-{self._runs:04d}"
-        started = self.clock.now()
-
-        trace = WorkflowTrace(run_id, MIGRATION_WORKFLOW, started)
-        trace.inputs = {"plan": plan.to_dict()}
-        graph = OPMGraph(run_id)
-        graph.add_agent(self.agent_id, label="format migration planner")
+        run = MaintenanceRun(self, MIGRATION_WORKFLOW, "migration/run")
+        run.trace.inputs = {"plan": plan.to_dict()}
+        graph = run.graph
 
         migrations: list[dict[str, Any]] = []
         for index, step in enumerate(plan.steps, start=1):
@@ -216,20 +209,16 @@ class FormatMigrationPlanner:
             derived_payload = canonical_json(document)
             derived_digest = self.group.put(derived_payload)
 
-            process_id = f"{run_id}/migrate-{index:04d}"
+            process_id = run.process(
+                f"migrate-{index:04d}", "format migration", "planner", {
+                    "object_id": step.object_id,
+                    "from_format": step.from_format,
+                    "to_format": step.to_format,
+                    "level": step.level,
+                    "lifetime_years": plan.policy.lifetime_years,
+                })
             source_id = f"cas:{step.source_digest}"
             derived_id = f"cas:{derived_digest}"
-            graph.add_process(process_id, label="format migration",
-                              annotations={
-                                  "object_id": step.object_id,
-                                  "from_format": step.from_format,
-                                  "to_format": step.to_format,
-                                  "level": step.level,
-                                  "lifetime_years":
-                                      plan.policy.lifetime_years,
-                              })
-            graph.was_controlled_by(process_id, self.agent_id,
-                                    role="planner")
             graph.add_artifact(source_id, label=source_id,
                                annotations={"format": step.from_format})
             graph.add_artifact(derived_id, label=derived_id,
@@ -239,11 +228,7 @@ class FormatMigrationPlanner:
             graph.was_generated_by(derived_id, process_id, role="derived")
             graph.was_derived_from(derived_id, source_id)
 
-            step_started = self.clock.now()
-            trace.record_run(ProcessorRun(
-                f"migrate:{step.object_id}", "format_migration",
-                step_started, self.clock.now(),
-            ))
+            run.step(f"migrate:{step.object_id}", self.clock.now())
             migrations.append({
                 "object_id": step.object_id,
                 "source_digest": step.source_digest,
@@ -253,8 +238,8 @@ class FormatMigrationPlanner:
                 "level": step.level,
             })
 
-        report = MigrationReport(run_id, migrations)
-        trace.outputs = report.to_dict()
-        trace.finish(self.clock.now(), "completed")
-        self.provenance.store_run(trace, graph)
+        report = MigrationReport(run.run_id, migrations)
+        run.trace.outputs = report.to_dict()
+        run.finish()
+        run.store()
         return report

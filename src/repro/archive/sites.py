@@ -174,14 +174,6 @@ class Site:
         self.store.restore(digest, payload, media_type=media_type)
         self._manifest.set(digest, digest)
 
-    def wipe(self) -> int:
-        """Lose every object (site destruction drill); returns how many."""
-        digests = self.store.digests()
-        for digest in digests:
-            self.store.drop(digest)
-            self._manifest.remove(digest)
-        return len(digests)
-
     def digests(self) -> list[str]:
         return self.store.digests()
 
@@ -289,9 +281,6 @@ class SiteTopology:
 
     def regions(self) -> list[str]:
         return sorted({site.region for site in self._sites.values()})
-
-    def in_region(self, region: str) -> list[Site]:
-        return [site for site in self.sites() if site.region == region]
 
     def fail_site(self, name: str) -> Site:
         site = self.site(name)

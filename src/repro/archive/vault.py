@@ -458,15 +458,7 @@ class PreservationVault:
     def status(self) -> dict[str, Any]:
         """One structured view of the vault's health."""
         manifest = self.manifest()
-        by_kind: dict[str, int] = {}
-        by_level: dict[int, int] = {}
-        for row in manifest:
-            by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + 1
-            by_level[row["level"]] = by_level.get(row["level"], 0) + 1
-        runs_by_workflow: dict[str, int] = {}
-        for run in self.provenance.runs():
-            name = run["workflow_name"]
-            runs_by_workflow[name] = runs_by_workflow.get(name, 0) + 1
+        by_level = Counter(row["level"] for row in manifest)
         metrics = self.telemetry.metrics
         return {
             "name": self.name,
@@ -474,14 +466,15 @@ class PreservationVault:
             "quorum": self.group.quorum,
             "objects": self.object_count(),
             "logical_bytes": self.group.stores[0].total_bytes(),
-            "manifest": {"by_kind": by_kind,
+            "manifest": {"by_kind": dict(Counter(row["kind"]
+                                                 for row in manifest)),
                          "by_level": {str(k): v
                                       for k, v in sorted(by_level.items())}},
             "replica_lag": self.group.replica_lag(),
             "at_risk_records": len(self.at_risk()),
             "last_audit": None if self._last_audit is None
             else self._last_audit.to_dict(),
-            "provenance_runs": runs_by_workflow,
+            "provenance_runs": self.provenance.run_counts(),
             "federation": (None if self.federation is None
                            else self.federation.status()),
             "counters": {

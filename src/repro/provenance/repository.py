@@ -31,6 +31,7 @@ columnar indexes instead of re-parsing every graph.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Any, Iterator, Mapping
 
 from repro.errors import ProvenanceError
@@ -41,6 +42,7 @@ from repro.provenance.store import ProvenanceStore
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
 from repro.storage.cas import ContentAddressedStore, PutItem
+from repro.storage.query import Aggregate
 from repro.workflow.model import Workflow
 from repro.workflow.serialization import workflow_from_json, workflow_to_json
 from repro.workflow.trace import WorkflowTrace
@@ -84,6 +86,9 @@ class ProvenanceRepository:
                                             self.database)
         self.store = (store if isinstance(store, ProvenanceStore)
                       else ProvenanceStore(self.database))
+        #: run ids handed out by :meth:`claim_run_id`, not yet stored
+        self._claimed: set[str] = set()
+        self._claim_lock = threading.Lock()
         self._sync_store()
 
     def _sync_store(self) -> None:
@@ -138,6 +143,7 @@ class ProvenanceRepository:
         else:
             rowid = self.database.rowid_for(_RUNS, trace.run_id)
             self.database.update(_RUNS, rowid, row)
+        self._claimed.discard(trace.run_id)
         # append-only archive: a re-capture keeps the first
         # archived skeleton (ingest_graph counts the skip)
         self.store.ingest_graph(trace.run_id, graph)
@@ -162,6 +168,27 @@ class ProvenanceRepository:
         if workflow_name is not None:
             query = query.where(col("workflow_name") == workflow_name)
         return sorted(query.values("run_id"))
+
+    def claim_run_id(self, prefix: str, workflow_name: str) -> str:
+        """A new ``<prefix>-NNNN`` id for a run of ``workflow_name``,
+        numbered after the workflow's stored runs.  Ids already stored
+        or claimed by a run still under way are stepped over, so
+        concurrent passes and earlier sessions never share an id."""
+        with self._claim_lock:
+            number = self.database.query(_RUNS).where(
+                col("workflow_name") == workflow_name).count()
+            while True:
+                number += 1
+                run_id = f"{prefix}-{number:04d}"
+                if run_id not in self._claimed and not self.has_run(run_id):
+                    self._claimed.add(run_id)
+                    return run_id
+
+    def run_counts(self) -> dict[str, int]:
+        """``{workflow name: stored runs}``, in workflow-name order."""
+        rows = self.database.query(_RUNS).group_by(
+            "workflow_name", aggregates=[Aggregate("count", alias="runs")])
+        return {row["workflow_name"]: row["runs"] for row in rows}
 
     def has_run(self, run_id: str) -> bool:
         """Primary-key membership probe (no run-list materialization)."""

@@ -1,15 +1,17 @@
 """Durability: a JSON-lines write-ahead journal plus snapshots.
 
-Every committed mutation is appended to the journal as one JSON object per
-line::
+Every commit is appended to the journal as one numbered JSON line; a
+transaction of several mutations is one ``commit`` record, so a crash
+keeps all of it or none::
 
-    {"op": "create_table", "schema": {...}}
-    {"op": "insert", "table": "recordings", "rowid": 17, "row": {...}}
+    {"op": "insert", "table": "recordings", "rowid": 17, "row": {...}, "seq": 1}
+    {"op": "commit", "entries": [{"op": "insert", ...}, ...], "seq": 2}
 
 :func:`Journal.replay` rebuilds a :class:`~repro.storage.database.Database`
 from an empty state.  Snapshots (:meth:`Journal.write_snapshot`) compact
 the journal: a snapshot file plus a truncated journal replaces the full
-history.
+history.  Replay skips lines the snapshot already holds (a crash between
+the two), and lines without a number (older journals) always replay.
 
 The journal encodes values through each column type's ``to_json`` hook so
 dates and datetimes survive the round trip.
@@ -37,29 +39,39 @@ class Journal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._entries_written = 0
+        #: last line number written or replayed; None until known
+        self._seq: int | None = None
+        #: the last line number the loaded snapshot holds
+        self._snapshot_seq = 0
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
 
     def append(self, entry: dict[str, Any]) -> None:
-        """Append one entry and fsync-lite (flush) it."""
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries_written += 1
+        """Append one entry as one line and fsync-lite (flush) it."""
+        self._write([entry])
 
     def append_many(self, entries: list[dict[str, Any]]) -> None:
-        if not entries:
-            return
-        with self.path.open("a", encoding="utf-8") as handle:
-            for entry in entries:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._entries_written += len(entries)
+        """Append one transaction's entries as one line: a single entry
+        as itself, several as one ``commit`` record."""
+        if entries:
+            self._write(entries)
 
-    @property
-    def entries_written(self) -> int:
-        return self._entries_written
+    def _write(self, entries: list[dict[str, Any]]) -> None:
+        seq = self._last_seq() + 1
+        record = (dict(entries[0]) if len(entries) == 1
+                  else {"op": "commit", "entries": entries})
+        record["seq"] = seq
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._seq = seq
+
+    def _last_seq(self) -> int:
+        if self._seq is None:  # neither written nor replayed yet
+            self._seq = max([self._read_snapshot().get("journal_seq", 0),
+                             *(e.get("seq", 0) for e in self.entries())])
+        return self._seq
 
     # ------------------------------------------------------------------
     # reading / replay
@@ -87,13 +99,19 @@ class Journal:
                 ) from None
 
     def replay(self, database: "Database") -> int:
-        """Apply every journal entry to ``database``; returns the count.
+        """Apply every journal line the loaded snapshot does not already
+        hold to ``database``; returns the count.
 
         Afterwards the file ends on a line boundary, so the next append
         starts a line of its own instead of extending the tail."""
         applied = 0
+        self._seq = self._snapshot_seq
         for entry in self.entries():
+            seq = entry.get("seq", 0)
+            if 0 < seq <= self._snapshot_seq:
+                continue  # left by a checkpoint that crashed mid-way
             self._apply(database, entry)
+            self._seq = max(self._seq, seq)
             applied += 1
         self._end_on_line_boundary()
         return applied
@@ -134,6 +152,9 @@ class Journal:
             table = database.table(entry["table"])
             row = _decode_row(table.schema, entry["row"])
             table.restore_insert(entry["rowid"], row)
+        elif op == "commit":
+            for item in entry["entries"]:
+                Journal._apply(database, item)
         elif op == "bulk_insert":
             # one batched entry from Database.bulk_load: {"rows":
             # [{"rowid": ..., "row": {...}}, ...]}
@@ -162,8 +183,10 @@ class Journal:
         return self.path.with_suffix(self.path.suffix + ".snapshot")
 
     def write_snapshot(self, database: "Database") -> Path:
-        """Write a full snapshot of ``database`` and truncate the journal."""
+        """Write a full snapshot of ``database``, stamped with the last
+        journal line number it holds, and truncate the journal."""
         snapshot = database.dump_state()
+        snapshot["journal_seq"] = self._last_seq()
         target = self.snapshot_path()
         tmp = target.with_suffix(target.suffix + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
@@ -172,24 +195,29 @@ class Journal:
         # Truncate the journal now that its effects live in the snapshot.
         with self.path.open("w", encoding="utf-8"):
             pass
-        self._entries_written = 0
         return target
 
     def load_snapshot(self, database: "Database") -> bool:
         """Load the snapshot (if any) into ``database``; returns whether a
         snapshot existed.  Call before :meth:`replay`."""
+        state = self._read_snapshot()
+        if not state:
+            return False
+        database.load_state(state)
+        self._snapshot_seq = state.get("journal_seq", 0)
+        return True
+
+    def _read_snapshot(self) -> dict[str, Any]:
         target = self.snapshot_path()
         if not target.exists():
-            return False
+            return {}
         with target.open("r", encoding="utf-8") as handle:
             try:
-                state = json.load(handle)
+                return json.load(handle)
             except json.JSONDecodeError as exc:
                 raise JournalError(
                     f"{target}: corrupt snapshot: {exc}"
                 ) from None
-        database.load_state(state)
-        return True
 
 
 def _decode_row(schema: TableSchema, encoded: dict[str, Any]) -> dict[str, Any]:

@@ -163,3 +163,93 @@ class TestDurabilityAcrossWorkload:
         recovered_rows = sorted(recovered.table("t").rows(),
                                 key=lambda r: r["id"])
         assert original_rows == recovered_rows
+
+
+def ids(database):
+    return {row["id"] for row in database.table("t").rows()}
+
+
+class TestCommitAtomicity:
+    def test_torn_transaction_recovers_all_or_none(self, tmp_path):
+        """Cut a five-insert commit at every byte offset: recovery keeps
+        all of its rows or none, and a commit made after recovery
+        survives the next recovery."""
+        path = tmp_path / "j.log"
+        db = make_db(path)
+        db.insert("t", {"id": 0, "name": "before"})
+        before = path.stat().st_size
+        with db.transaction():
+            for i in range(1, 6):
+                db.insert("t", {"id": i, "name": str(i)})
+        intact = path.read_bytes()
+        committed = {1, 2, 3, 4, 5}
+        for cut in range(before, len(intact) + 1):
+            path.write_bytes(intact[:cut])
+            recovered = Database.recover("d", path)
+            kept = ids(recovered) - {0}
+            assert kept in (set(), committed), cut
+            assert (kept == committed) == (cut >= len(intact) - 1), cut
+            recovered.insert("t", {"id": 6, "name": "after"})
+            again = Database.recover("d", path)
+            assert ids(again) == {0, 6} | kept, cut
+
+    def test_single_entry_lines_replay_as_before(self, tmp_path):
+        """A journal written one entry per line, without commit records
+        or sequence numbers, still replays."""
+        path = tmp_path / "j.log"
+        path.write_text(
+            '{"op": "create_table", "schema": {"name": "t", "columns": '
+            '[{"name": "id", "type": "INTEGER", "nullable": true}], '
+            '"primary_key": "id"}}\n'
+            '{"op": "insert", "table": "t", "rowid": 1, "row": {"id": 1}}\n'
+            '{"op": "insert", "table": "t", "rowid": 2, "row": {"id": 2}}\n')
+        recovered = Database.recover("d", path)
+        assert ids(recovered) == {1, 2}
+        recovered.insert("t", {"id": 3})
+        assert ids(Database.recover("d", path)) == {1, 2, 3}
+
+
+class TestCheckpointCrash:
+    def workload(self, path):
+        db = make_db(path)
+        for i in range(3):
+            db.insert("t", {"id": i, "name": str(i)})
+        db.checkpoint()
+        for i in range(3, 6):
+            db.insert("t", {"id": i, "name": str(i)})
+        with db.transaction():
+            db.insert("t", {"id": 6, "name": "six"})
+            db.update("t", db.rowid_for("t", 0), {"name": "zero"})
+        db.delete("t", db.rowid_for("t", 4))
+        return db
+
+    @pytest.mark.parametrize("crash", [
+        "before_replace", "between_replace_and_truncation",
+        "after_truncation",
+    ])
+    def test_crash_during_checkpoint_recovers_the_committed_state(
+            self, tmp_path, crash):
+        path = tmp_path / "j.log"
+        db = self.workload(path)
+        snapshot = db.journal.snapshot_path()
+        old_journal = path.read_bytes()
+        old_snapshot = snapshot.read_bytes()
+        expected = db.dump_state()
+        db.checkpoint()
+        if crash == "before_replace":
+            snapshot.write_bytes(old_snapshot)
+        if crash != "after_truncation":
+            path.write_bytes(old_journal)
+
+        recovered = Database.recover("d", path)
+        assert recovered.dump_state() == expected
+        recovered.insert("t", {"id": 7, "name": "seven"})
+        with recovered.transaction():
+            recovered.insert("t", {"id": 8, "name": "eight"})
+            recovered.insert("t", {"id": 9, "name": "nine"})
+        later = recovered.dump_state()
+        assert Database.recover("d", path).dump_state() == later
+        recovered.checkpoint()
+        recovered.insert("t", {"id": 10, "name": "ten"})
+        assert ids(Database.recover("d", path)) == {
+            0, 1, 2, 3, 5, 6, 7, 8, 9, 10}

@@ -22,11 +22,12 @@ The resulting graph plus the raw trace are persisted in the
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Mapping
 
 from repro.provenance.opm import OPMGraph
 from repro.provenance.repository import ProvenanceRepository
-from repro.workflow.engine import WorkflowEngine
+from repro.workflow.engine import RUN_PREFIX, WorkflowEngine
 from repro.workflow.model import Workflow
 from repro.workflow.trace import WorkflowTrace
 
@@ -60,7 +61,11 @@ class ProvenanceManager:
     # ------------------------------------------------------------------
 
     def attach(self, engine: WorkflowEngine) -> None:
-        """Subscribe to ``engine``; every finished run is captured."""
+        """Subscribe to ``engine``; every finished run is captured.  The
+        engine takes its run ids from the repository from now on, so
+        engines sharing a repository never reuse a stored run's id."""
+        engine.run_id_source = functools.partial(
+            self.repository.claim_run_id, RUN_PREFIX)
         engine.add_listener(self._on_event)
 
     def _on_event(self, event: str, payload: Mapping[str, Any]) -> None:

@@ -86,8 +86,8 @@ class ProvenanceRepository:
                                             self.database)
         self.store = (store if isinstance(store, ProvenanceStore)
                       else ProvenanceStore(self.database))
-        #: run ids handed out by :meth:`claim_run_id`, not yet stored
-        self._claimed: set[str] = set()
+        #: next number :meth:`claim_run_id` tries, per id prefix
+        self._next_number: dict[str, int] = {}
         self._claim_lock = threading.Lock()
         self._sync_store()
 
@@ -143,7 +143,6 @@ class ProvenanceRepository:
         else:
             rowid = self.database.rowid_for(_RUNS, trace.run_id)
             self.database.update(_RUNS, rowid, row)
-        self._claimed.discard(trace.run_id)
         # append-only archive: a re-capture keeps the first
         # archived skeleton (ingest_graph counts the skip)
         self.store.ingest_graph(trace.run_id, graph)
@@ -170,19 +169,22 @@ class ProvenanceRepository:
         return sorted(query.values("run_id"))
 
     def claim_run_id(self, prefix: str, workflow_name: str) -> str:
-        """A new ``<prefix>-NNNN`` id for a run of ``workflow_name``,
-        numbered after the workflow's stored runs.  Ids already stored
-        or claimed by a run still under way are stepped over, so
-        concurrent passes and earlier sessions never share an id."""
+        """A new ``<prefix>-NNNN`` id for a run of ``workflow_name``.
+
+        Numbers per prefix only move forward.  The first claim starts
+        after the workflow's stored runs (one indexed count), and every
+        candidate already stored is stepped over, so concurrent passes,
+        several engines and earlier sessions never share an id.
+        """
         with self._claim_lock:
-            number = self.database.query(_RUNS).where(
-                col("workflow_name") == workflow_name).count()
-            while True:
+            number = self._next_number.get(prefix)
+            if number is None:
+                number = 1 + self.database.query(_RUNS).where(
+                    col("workflow_name") == workflow_name).count()
+            while self.has_run(f"{prefix}-{number:04d}"):
                 number += 1
-                run_id = f"{prefix}-{number:04d}"
-                if run_id not in self._claimed and not self.has_run(run_id):
-                    self._claimed.add(run_id)
-                    return run_id
+            self._next_number[prefix] = number + 1
+            return f"{prefix}-{number:04d}"
 
     def run_counts(self) -> dict[str, int]:
         """``{workflow name: stored runs}``, in workflow-name order."""

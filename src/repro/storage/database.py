@@ -49,12 +49,40 @@ from repro.storage.query import Query
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import Snapshot
 from repro.storage.table import Table
-from repro.storage.transactions import Transaction
+from repro.storage.transactions import Transaction, UndoRecord
 
 __all__ = ["Database"]
 
 #: Commits between version-history pruning sweeps.
 PRUNE_INTERVAL = 64
+
+#: one row change of a statement: ``(rowid, before, after)``, where
+#: ``before`` is ``None`` for an insert and ``after`` for a delete
+_Change = tuple[int, dict[str, Any] | None, dict[str, Any] | None]
+
+#: the per-table telemetry counter each statement kind bumps
+_ROW_COUNTERS = {
+    "insert": "storage_rows_inserted_total",
+    "bulk_insert": "storage_rows_inserted_total",
+    "update": "storage_rows_updated_total",
+    "delete": "storage_rows_deleted_total",
+}
+
+
+def _journal_entries(table: Table, op: str,
+                     changes: list[_Change]) -> list[dict[str, Any]]:
+    """A statement's journal entries: one ``bulk_insert`` entry for a
+    batch, else one entry per row (several land as one line)."""
+    if op == "bulk_insert":
+        return [{"op": op, "table": table.name, "rows": [
+            {"rowid": rowid, "row": encode_row(table.schema, after)}
+            for rowid, __, after in changes]}]
+    if op == "delete":
+        return [{"op": op, "table": table.name, "rowid": rowid}
+                for rowid, __, __ in changes]
+    return [{"op": op, "table": table.name, "rowid": rowid,
+             "row": encode_row(table.schema, after)}
+            for rowid, __, after in changes]
 
 
 class Database:
@@ -154,170 +182,140 @@ class Database:
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> int:
         """Insert one row; returns its row id."""
-        from repro.errors import ConstraintViolation
-
-        with self._lock:
-            table = self.table(table_name)
-            if self._snapshots or self._active_tx:
-                # pin the "row absent" baseline before the physical row
-                # lands: lock-free snapshot readers must resolve the new
-                # rowid to "not visible yet", never to the fresh row
-                table.pin_insert_baselines()
-            rowid = table.insert(values)
-            row = table.row_by_id(rowid)
-            try:
-                self._check_foreign_keys(table, row)
-                self._claim_row(table, rowid, before=None)
-            except ConstraintViolation:
-                table.restore_delete(rowid)
-                raise
-            self._record_mutation(table_name, "insert", rowid, None, row)
-            if self._journal is not None:
-                self._journal_write({
-                    "op": "insert", "table": table_name, "rowid": rowid,
-                    "row": encode_row(table.schema, row),
-                })
-            return rowid
-
-    def insert_many(self, table_name: str,
-                    rows: Iterable[Mapping[str, Any]]) -> list[int]:
-        return [self.insert(table_name, row) for row in rows]
+        return self._statement(table_name, "insert", values=[values])[0][0]
 
     def bulk_load(self, table_name: str,
                   rows: Iterable[Mapping[str, Any]]) -> list[int]:
-        """Insert a batch of rows through the bulk write path.
+        """Insert a batch of rows as one statement; returns their row ids.
 
-        Compared to :meth:`insert_many` this validates the whole batch
-        up front (a failing row leaves the table untouched), defers index
-        maintenance to one bulk rebuild per index, and appends a single
-        batched journal entry instead of one per row.  Foreign keys are
-        checked after the batch lands so rows may reference each other
-        (and themselves), mirroring :meth:`insert`; a violation rolls the
-        whole batch back.
+        The whole batch is validated up front (a failing row leaves the
+        table untouched), index maintenance is deferred to one bulk pass
+        per index, and the batch is journaled as one ``bulk_insert``
+        entry.  Foreign keys are checked after the batch lands, so rows
+        may reference each other (and themselves); a violation undoes
+        the whole batch.
         """
-        from repro.errors import ConstraintViolation
+        return [rowid for rowid, __, __ in
+                self._statement(table_name, "bulk_insert", values=rows)]
 
-        with self._lock:
-            table = self.table(table_name)
-            prepared = table.prepare_rows(rows)
-            if self._snapshots or self._active_tx:
-                table.pin_insert_baselines(len(prepared))
-            rowids = table.apply_prepared(prepared)
-            try:
-                for row in prepared:
-                    self._check_foreign_keys(table, row)
-            except ConstraintViolation:
-                for rowid in reversed(rowids):
-                    table.restore_delete(rowid)
-                raise
-            transaction = self._current_transaction()
-            if transaction is None and rowids:
-                # one commit sequence for the whole batch: the batch is
-                # atomic and becomes visible to snapshots as one unit
-                seq = self._advance_seq()
-                watched = bool(self._snapshots) or bool(self._active_tx)
-                for rowid, row in zip(rowids, prepared):
-                    if watched or rowid in table._history:
-                        table.note_committed(rowid, None, dict(row), seq)
-            if transaction is not None:
-                for rowid, row in zip(rowids, prepared):
-                    self._claim_row(table, rowid, before=None)
-                    transaction.record(table_name, "insert", rowid, None,
-                                       dict(row))
-            if self._journal is not None and rowids:
-                self._journal_write({
-                    "op": "bulk_insert", "table": table_name,
-                    "rows": [
-                        {"rowid": rowid, "row": encode_row(table.schema, row)}
-                        for rowid, row in zip(rowids, prepared)
-                    ],
-                })
-            self._maybe_prune()
-            return rowids
+    #: all-or-nothing, like :meth:`bulk_load`
+    insert_many = bulk_load
 
     def update(self, table_name: str, rowid: int,
                changes: Mapping[str, Any]) -> dict[str, Any]:
         """Update one row by id; returns the new row."""
-        from repro.errors import ConstraintViolation
-
-        with self._lock:
-            table = self.table(table_name)
-            before = table.row_by_id(rowid)
-            # conflict detection happens *before* the physical mutation,
-            # so a conflicting statement leaves the table untouched
-            self._claim_row(table, rowid, before)
-            after = table.update_row(rowid, changes)
-            try:
-                self._check_foreign_keys(table, after)
-            except ConstraintViolation:
-                table.restore_update(rowid, before)
-                raise
-            self._record_mutation(table_name, "update", rowid, before, after)
-            if self._journal is not None:
-                self._journal_write({
-                    "op": "update", "table": table_name, "rowid": rowid,
-                    "row": encode_row(table.schema, after),
-                })
-            return after
+        changed = self._statement(table_name, "update", [rowid], changes)
+        return dict(changed[0][2])
 
     def delete(self, table_name: str, rowid: int) -> dict[str, Any]:
         """Delete one row by id; returns the deleted row."""
-        with self._lock:
-            table = self.table(table_name)
-            before = table.row_by_id(rowid)
-            self._claim_row(table, rowid, before)
-            row = table.delete_row(rowid)
-            self._record_mutation(table_name, "delete", rowid, row, None)
-            if self._journal is not None:
-                self._journal_write(
-                    {"op": "delete", "table": table_name, "rowid": rowid}
-                )
-            return row
+        return dict(self._statement(table_name, "delete", [rowid])[0][1])
 
     def update_where(self, table_name: str, predicate: Predicate,
                      changes: Mapping[str, Any]) -> int:
-        """Update every matching row; returns the number updated.
-
-        The statement is atomic: outside an explicit transaction the
-        loop runs in an implicit one, so a conflict or constraint
-        violation on any matching row rolls back the rows already
-        touched instead of leaving a partially applied statement.
-        """
-        with self._lock:
-            table = self.table(table_name)
-            matching = [
-                rowid for rowid, row in table.rows_with_ids()
-                if predicate(row)
-            ]
-            if matching and self._current_transaction() is None:
-                with self.transaction():
-                    for rowid in matching:
-                        self.update(table_name, rowid, changes)
-            else:
-                for rowid in matching:
-                    self.update(table_name, rowid, changes)
-            return len(matching)
+        """Update every matching row as one statement; returns the number
+        updated.  A conflict or constraint violation on any matching row
+        leaves every row as it was."""
+        return len(self._statement(table_name, "update", values=changes,
+                                   where=predicate))
 
     def delete_where(self, table_name: str, predicate: Predicate) -> int:
-        """Delete every matching row; returns the number deleted.
+        """Delete every matching row as one statement; returns the number
+        deleted (all or none, like :meth:`update_where`)."""
+        return len(self._statement(table_name, "delete", where=predicate))
 
-        Atomic like :meth:`update_where`: a mid-statement conflict
-        rolls back the deletes already applied.
+    def _statement(self, table_name: str, op: str,
+                   rowids: Iterable[int] = (), values: Any = None,
+                   where: Predicate | None = None) -> list[_Change]:
+        """Run one row statement; returns its ``(rowid, before, after)``
+        changes.
+
+        ``op`` is ``insert`` or ``bulk_insert`` (``values``: the rows),
+        ``update`` (``values``: the changes) or ``delete``; an update or
+        delete touches ``rowids``, or every row ``where`` matches.  The
+        steps, in order:
+
+        1. validate the whole statement (nothing is touched on failure);
+        2. claim its rows (first-writer-wins, pins pre-images for
+           snapshot readers);
+        3. apply them and check foreign keys on the new images;
+        4. append exactly one journal line, or buffer the entries in the
+           open transaction;
+        5. publish: at one new commit sequence number, or into the open
+           transaction's undo log.
+
+        Durability before visibility: nothing is published before the
+        journal append returns.  A failure in steps 3-4 undoes the
+        statement and releases its new claims before the error
+        propagates, so a statement lands whole or not at all.
         """
         with self._lock:
             table = self.table(table_name)
-            matching = [
-                rowid for rowid, row in table.rows_with_ids()
-                if predicate(row)
-            ]
-            if matching and self._current_transaction() is None:
-                with self.transaction():
-                    for rowid in matching:
-                        self.delete(table_name, rowid)
+            if self._active_tx:
+                self._reap_abandoned()
+            transaction = self._current_transaction()
+            if op in ("insert", "bulk_insert"):
+                afters = table.prepare_rows(values)
+                changes: list[_Change] = [
+                    (rowid, None, after) for rowid, after
+                    in enumerate(afters, start=table.next_rowid)]
             else:
-                for rowid in matching:
-                    self.delete(table_name, rowid)
-            return len(matching)
+                targets = (
+                    [(rowid, table.row_by_id(rowid)) for rowid in rowids]
+                    if where is None else
+                    [(rowid, row) for rowid, row in table.rows_with_ids()
+                     if where(row)])
+                afters = (table.prepare_update(targets, values)
+                          if op == "update" and targets
+                          else [None] * len(targets))
+                changes = [(rowid, before, after) for (rowid, before), after
+                           in zip(targets, afters)]
+            if not changes:
+                return changes
+            # with no open transaction and no snapshot there is nobody to
+            # conflict with and no reader to pin pre-images for
+            claimed = (self._claim_rows(table, transaction, changes)
+                       if self._active_tx or self._snapshots else [])
+            try:
+                if op == "update":
+                    for rowid, __, after in changes:
+                        table.restore_update(rowid, after)
+                elif op == "delete":
+                    for rowid, __, __ in changes:
+                        table.restore_delete(rowid)
+                else:
+                    table.apply_prepared(afters)
+                if table.schema.foreign_keys and op != "delete":
+                    for __, __, after in changes:
+                        self._check_foreign_keys(table, after)
+                if self._journal is not None:
+                    entries = _journal_entries(table, op, changes)
+                    if transaction is None:
+                        self._journal.append_many(entries)
+                    else:
+                        transaction.journal_buffer.extend(entries)
+            except BaseException:  # noqa: BLE001 - undo before any error propagates
+                self._replay_undo(
+                    UndoRecord(table_name, op, rowid, before, after)
+                    for rowid, before, after in reversed(changes))
+                self._release_claims(transaction, claimed)
+                raise
+            table.metric(_ROW_COUNTERS[op]).inc(len(changes))
+            if op == "bulk_insert":
+                table.metric("storage_bulk_batches_total").inc()
+            if transaction is not None:
+                for rowid, before, after in changes:
+                    transaction.record(table_name, op, rowid, before, after)
+            else:
+                # rows nobody observes and with no history stay clean:
+                # the physical row is the committed image
+                seq = self._advance_seq()
+                observed = bool(self._snapshots) or bool(self._active_tx)
+                for rowid, before, after in changes:
+                    if observed or rowid in table._history:
+                        table.note_committed(rowid, before, after, seq)
+                self._maybe_prune()
+            return changes
 
     def get(self, table_name: str, key: Any) -> dict[str, Any]:
         """Fetch one row by primary-key value."""
@@ -488,44 +486,49 @@ class Database:
             return self._active_tx.get(threading.get_ident())
         return transaction
 
-    def _claim_row(self, table: Table, rowid: int,
-                   before: dict[str, Any] | None) -> None:
-        """First-writer-wins conflict detection for one row write.
+    def _claim_rows(self, table: Table, transaction: Transaction | None,
+                    changes: list[_Change]) -> list[tuple[str, int]]:
+        """First-writer-wins conflict detection for a statement's rows;
+        returns the claims ``transaction`` newly took.
 
-        Raises :class:`TransactionConflictError` when the row carries an
+        Raises :class:`TransactionConflictError` when a row carries an
         uncommitted write from another transaction, or (inside a
-        transaction) was committed after the transaction began.  On the
-        first claim by a transaction the committed pre-image is pinned in
-        the version history so snapshot readers keep seeing it.
+        transaction) was committed after the transaction began; the
+        claims this statement took are released first.  Each row's
+        committed pre-image (``None`` for a new row) is pinned in the
+        version history *before* the physical write, so lock-free
+        snapshot readers never fall back to the mutated physical row.
+        Only called when someone could observe the write (an open
+        transaction or a live snapshot); otherwise there is nothing to
+        claim or pin.
         """
-        transaction = self._current_transaction()
-        key = (table.name, rowid)
-        owner = self._row_writers.get(key)
-        if owner is not None and owner is not transaction \
-                and not owner.thread_alive():
-            # the claim belongs to a transaction whose thread died with
-            # it open: reap instead of conflicting against a ghost
-            self._reap_abandoned()
+        claimed: list[tuple[str, int]] = []
+        for rowid, before, __ in changes:
+            key = (table.name, rowid)
             owner = self._row_writers.get(key)
-        if owner is not None and owner is not transaction:
-            self._storage_counter("storage_transaction_conflicts_total",
-                                  table=table.name, kind="write_write").inc()
-            raise TransactionConflictError(
-                f"row {table.name}#{rowid} has an uncommitted write from "
-                f"transaction tid={owner.tid} (first writer wins)"
-            )
-        if transaction is None:
-            if self._snapshots or self._active_tx:
-                # autocommit statement with observers around: pin the
-                # committed pre-image *before* the physical mutation so
-                # lock-free snapshot readers never fall back to the
-                # mutated physical row (the transactional path gets the
-                # same pin below, at claim time)
+            if owner is not None and owner is not transaction \
+                    and not owner.thread_alive():
+                # the claim belongs to a transaction whose thread died
+                # with it open: reap instead of conflicting with a ghost
+                self._reap_abandoned()
+                owner = self._row_writers.get(key)
+            if owner is not None and owner is not transaction:
+                self._release_claims(transaction, claimed)
+                self._storage_counter("storage_transaction_conflicts_total",
+                                      table=table.name,
+                                      kind="write_write").inc()
+                raise TransactionConflictError(
+                    f"row {table.name}#{rowid} has an uncommitted write "
+                    f"from transaction tid={owner.tid} (first writer wins)"
+                )
+            if transaction is None:
                 table.ensure_baseline(rowid, before)
-            return
-        if key not in transaction.claims:
+                continue
+            if key in transaction.claims:
+                continue
             last_seq = table.last_committed_seq(rowid)
             if last_seq > transaction.start_seq:
+                self._release_claims(transaction, claimed)
                 self._storage_counter(
                     "storage_transaction_conflicts_total",
                     table=table.name, kind="stale_write").inc()
@@ -537,36 +540,13 @@ class Database:
                 )
             transaction.claims.add(key)
             self._row_writers[key] = transaction
+            claimed.append(key)
             table.ensure_baseline(rowid, before)
-
-    def _record_mutation(self, table_name: str, op: str, rowid: int,
-                         before: dict[str, Any] | None,
-                         after: dict[str, Any] | None) -> None:
-        transaction = self._current_transaction()
-        if transaction is not None:
-            transaction.record(table_name, op, rowid, before, after)
-        else:
-            self._note_autocommit(self._tables[table_name], rowid,
-                                  before, after)
+        return claimed
 
     def _advance_seq(self) -> int:
         self._commit_seq += 1
         return self._commit_seq
-
-    def _note_autocommit(self, table: Table, rowid: int,
-                         before: dict[str, Any] | None,
-                         after: dict[str, Any] | None) -> None:
-        """Publish an autocommitted statement to the version history.
-
-        When nobody can observe old versions (no snapshots, no open
-        transactions) and the row has no history, recording is skipped —
-        the physical row is the committed truth and the single-writer
-        hot path stays copy-free.
-        """
-        seq = self._advance_seq()
-        if self._snapshots or self._active_tx or rowid in table._history:
-            table.note_committed(rowid, before, after, seq)
-        self._maybe_prune()
 
     def _commit_transaction(self, transaction: Transaction) -> None:
         with self._lock:
@@ -596,16 +576,7 @@ class Database:
                     is not transaction:
                 raise TransactionError(
                     "finishing a transaction that is not open")
-            for record in reversed(transaction.undo_records()):
-                table = self.table(record.table)
-                if record.op == "insert":
-                    table.restore_delete(record.rowid)
-                elif record.op == "delete":
-                    assert record.before is not None
-                    table.restore_insert(record.rowid, record.before)
-                else:  # update
-                    assert record.before is not None
-                    table.restore_update(record.rowid, record.before)
+            self._replay_undo(reversed(transaction.undo_records()))
             transaction.journal_buffer = []
             self._release_transaction(transaction)
 
@@ -638,28 +609,35 @@ class Database:
             self._storage_counter(
                 "storage_abandoned_transactions_total").inc()
             try:
-                for record in reversed(transaction.undo_records()):
-                    table = self._tables.get(record.table)
-                    if table is None:
-                        continue
-                    if record.op == "insert":
-                        table.restore_delete(record.rowid)
-                    elif record.op == "delete":
-                        assert record.before is not None
-                        table.restore_insert(record.rowid, record.before)
-                    else:  # update
-                        assert record.before is not None
-                        table.restore_update(record.rowid, record.before)
+                self._replay_undo(reversed(transaction.undo_records()))
             finally:
                 transaction.journal_buffer = []
                 transaction.mark_abandoned()
                 self._release_transaction(transaction)
 
-    def _release_transaction(self, transaction: Transaction) -> None:
-        for key in transaction.claims:
+    def _replay_undo(self, records: Iterable[UndoRecord]) -> None:
+        """Put back each record's before-image, in the order given (a
+        ``None`` image removes the row); tables dropped since are
+        skipped.  Undoes a failed statement, a rollback and a reaped
+        transaction alike."""
+        for record in records:
+            table = self._tables.get(record.table)
+            if table is None:
+                continue
+            if record.before is None:
+                table.restore_delete(record.rowid)
+            else:
+                table.restore_update(record.rowid, record.before)
+
+    def _release_claims(self, transaction: Transaction | None,
+                        keys: Iterable[tuple[str, int]]) -> None:
+        for key in keys:
+            transaction.claims.discard(key)
             if self._row_writers.get(key) is transaction:
                 del self._row_writers[key]
-        transaction.claims = set()
+
+    def _release_transaction(self, transaction: Transaction) -> None:
+        self._release_claims(transaction, list(transaction.claims))
         if self._active_tx.get(transaction.thread_ident) is transaction:
             del self._active_tx[transaction.thread_ident]
 
@@ -683,6 +661,7 @@ class Database:
             table.prune_versions(floor, keep=claimed.get(name, ()))
 
     def _journal_write(self, entry: dict[str, Any]) -> None:
+        """Journal a schema change (row statements journal themselves)."""
         if self._journal is None:
             return
         transaction = self._current_transaction()

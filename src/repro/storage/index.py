@@ -20,6 +20,9 @@ __all__ = ["Index", "HashIndex", "SortedIndex"]
 
 _SENTINEL = object()
 
+#: Batches up to this size are insorted entry by entry, not re-sorted.
+SMALL_BATCH = 16
+
 
 class Index:
     """Abstract secondary index over one column."""
@@ -133,10 +136,14 @@ class SortedIndex(Index):
     def bulk_add(self, pairs: Iterable[tuple[int, Any]]) -> None:
         # One extend + sort beats n binary-insertions (O((n+m) log(n+m))
         # vs O(n·m)); this is what makes deferred index maintenance on the
-        # bulk ingest path worthwhile.
-        self._entries.extend(
-            (value, rowid) for rowid, value in pairs if value is not None
-        )
+        # bulk ingest path worthwhile.  A few entries (a one-row insert)
+        # are cheaper to insort than to re-sort the whole list for.
+        fresh = [(value, rowid) for rowid, value in pairs if value is not None]
+        if len(fresh) <= SMALL_BATCH:
+            for entry in fresh:
+                insort(self._entries, entry)
+            return
+        self._entries.extend(fresh)
         self._entries.sort()
 
     def remove(self, rowid: int, value: Any) -> None:

@@ -1,13 +1,17 @@
 """The table: row storage, constraint enforcement and index maintenance.
 
 Rows are stored as plain dicts keyed by a hidden monotonically increasing
-row id.  All mutation goes through :meth:`Table.insert`,
-:meth:`Table.update` and :meth:`Table.delete`, which
+row id.  The table validates and writes; ordering those steps into a
+statement (conflict claims, foreign keys, journal, MVCC publish) is the
+database's job.  Its write primitives:
 
-* apply column defaults and type coercion,
-* enforce NOT NULL / UNIQUE / CHECK constraints,
-* keep secondary indexes in sync,
-* report undo records so the transaction layer can roll back.
+* :meth:`Table.prepare_rows` and :meth:`Table.prepare_update` validate a
+  whole statement up front (defaults, type coercion, NOT NULL / UNIQUE /
+  CHECK) and never mutate;
+* :meth:`Table.apply_prepared` writes validated new rows and
+  :meth:`Table.restore_update` / :meth:`Table.restore_delete` replace or
+  remove one row, keeping secondary indexes in sync — the same calls
+  undo a statement, roll back a transaction and replay the journal.
 
 Rows handed back to callers are *copies*; mutating them never corrupts the
 table (the paper's "original collection unchanged" requirement depends on
@@ -16,7 +20,7 @@ this).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import (
     ConstraintViolation,
@@ -31,7 +35,6 @@ from repro.telemetry.metrics import Counter
 __all__ = ["Table"]
 
 Row = dict[str, Any]
-UndoCallback = Callable[[str, int, Row | None, Row | None], None]
 
 
 class Table:
@@ -46,7 +49,6 @@ class Table:
         self._rows: dict[int, Row] = {}
         self._next_rowid = 1
         self._indexes: dict[str, Index] = {}
-        self._undo_hook: UndoCallback | None = None
         # MVCC: committed row images keyed by rowid.  Each entry is an
         # append-only list of ``(commit_seq, image-or-None)`` pairs
         # (``None`` = deleted/not yet inserted at that point).  Absent
@@ -94,12 +96,12 @@ class Table:
                 f"table {self.name!r} has no row id {rowid}"
             ) from None
 
-    def set_undo_hook(self, hook: UndoCallback | None) -> None:
-        """Install a callback ``(op, rowid, before, after)`` used by the
-        transaction layer to record undo information."""
-        self._undo_hook = hook
+    @property
+    def next_rowid(self) -> int:
+        """The row id the next inserted row gets."""
+        return self._next_rowid
 
-    def _metric(self, name: str, **labels: str) -> Counter:
+    def metric(self, name: str, **labels: str) -> Counter:
         """Counter in the process-wide registry, labeled by table."""
         return get_telemetry().metrics.counter(name, table=self.name,
                                                **labels)
@@ -151,41 +153,8 @@ class Table:
             normalized[column.name] = raw
         return normalized
 
-    def _check_unique(self, row: Row, exclude_rowid: int | None = None) -> None:
-        for column in self.schema.columns:
-            if not column.unique:
-                continue
-            value = row.get(column.name)
-            if value is None:
-                continue
-            hits = self._indexes[column.name].lookup(value)
-            hits.discard(exclude_rowid if exclude_rowid is not None else -1)
-            if hits:
-                raise ConstraintViolation(
-                    "UNIQUE",
-                    f"{self.name}.{column.name} already contains {value!r}",
-                )
-
     # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-
-    def insert(self, values: Mapping[str, Any]) -> int:
-        """Insert one row; returns its row id."""
-        row = self._normalize(values)
-        self._check_unique(row)
-        rowid = self._next_rowid
-        self._next_rowid += 1
-        self._rows[rowid] = row
-        for index in self._indexes.values():
-            index.add(rowid, row.get(index.column))
-        self._metric("storage_rows_inserted_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("insert", rowid, None, dict(row))
-        return rowid
-
-    # ------------------------------------------------------------------
-    # bulk write path
+    # statement write path (validate whole, then write)
     # ------------------------------------------------------------------
 
     def prepare_rows(self, rows: Iterable[Mapping[str, Any]]) -> list[Row]:
@@ -218,10 +187,10 @@ class Table:
     def apply_prepared(self, prepared: list[Row]) -> list[int]:
         """Write rows validated by :meth:`prepare_rows`.
 
-        Index maintenance is deferred: each index gets one
+        Rows get the ids from :attr:`next_rowid` on, in order.  Index
+        maintenance is deferred: each index gets one
         :meth:`~repro.storage.index.Index.bulk_add` call (a sorted index
-        does one extend + sort instead of n binary insertions), and the
-        insert counter is bumped once for the whole batch.
+        does one extend + sort instead of n binary insertions).
         """
         first_rowid = self._next_rowid
         rowids = list(range(first_rowid, first_rowid + len(prepared)))
@@ -234,62 +203,32 @@ class Table:
                 (rowid, row.get(column))
                 for rowid, row in zip(rowids, prepared)
             )
-        if prepared:
-            self._metric("storage_rows_inserted_total").inc(len(prepared))
-            self._metric("storage_bulk_batches_total").inc()
-        if self._undo_hook is not None:
-            for rowid, row in zip(rowids, prepared):
-                self._undo_hook("insert", rowid, None, dict(row))
         return rowids
 
-    def bulk_insert(self, rows: Iterable[Mapping[str, Any]]) -> list[int]:
-        """Insert many rows atomically; returns their row ids.
+    def prepare_update(self, targets: Sequence[tuple[int, Row]],
+                       changes: Mapping[str, Any]) -> list[Row]:
+        """Validate ``changes`` applied to each ``(rowid, row)`` of
+        ``targets``; returns the after-images, in order.
 
-        Equivalent to repeated :meth:`insert` but validates the whole
-        batch first (all-or-nothing) and defers index maintenance to one
-        bulk rebuild per index.
+        ``changes`` is normalized once for the whole statement.  A UNIQUE
+        column it sets may match no row outside ``targets``, and only one
+        target can take the value.  Raises before anything is mutated.
         """
-        return self.apply_prepared(self.prepare_rows(rows))
-
-    def update_row(self, rowid: int, changes: Mapping[str, Any]) -> Row:
-        """Apply ``changes`` to the row ``rowid``; returns the new row."""
-        if rowid not in self._rows:
-            raise RowNotFoundError(
-                f"table {self.name!r} has no row id {rowid}"
-            )
         normalized = self._normalize(changes, partial=True)
-        before = dict(self._rows[rowid])
-        after = dict(before)
-        after.update(normalized)
-        self._check_unique(after, exclude_rowid=rowid)
-        for index in self._indexes.values():
-            old = before.get(index.column)
-            new = after.get(index.column)
-            if old != new:
-                index.remove(rowid, old)
-                index.add(rowid, new)
-        self._rows[rowid] = after
-        self._metric("storage_rows_updated_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("update", rowid, before, dict(after))
-        return dict(after)
-
-    def delete_row(self, rowid: int) -> Row:
-        """Delete row ``rowid``; returns the deleted row."""
-        if rowid not in self._rows:
-            raise RowNotFoundError(
-                f"table {self.name!r} has no row id {rowid}"
-            )
-        row = self._rows.pop(rowid)
-        for index in self._indexes.values():
-            index.remove(rowid, row.get(index.column))
-        self._metric("storage_rows_deleted_total").inc()
-        if self._undo_hook is not None:
-            self._undo_hook("delete", rowid, dict(row), None)
-        return dict(row)
+        for name, value in normalized.items():
+            if value is None or not self.schema.column(name).unique:
+                continue
+            others = self._indexes[name].lookup(value)
+            others.difference_update(rowid for rowid, __ in targets)
+            if others or len(targets) > 1:
+                raise ConstraintViolation(
+                    "UNIQUE",
+                    f"{self.name}.{name} already contains {value!r}",
+                )
+        return [{**row, **normalized} for __, row in targets]
 
     # ------------------------------------------------------------------
-    # raw restore (transaction rollback / journal replay)
+    # raw row writes (statement apply, undo, journal replay)
     # ------------------------------------------------------------------
 
     def restore_insert(self, rowid: int, row: Row) -> None:
@@ -341,17 +280,6 @@ class Table:
             self._history[rowid] = [
                 (0, dict(before) if before is not None else None)
             ]
-
-    def pin_insert_baselines(self, count: int = 1) -> None:
-        """Pin "row absent" baselines for the next ``count`` rowids an
-        insert will allocate, *before* the physical rows land: lock-free
-        snapshot readers must resolve a brand-new rowid to "not visible
-        yet" rather than fall back to the freshly inserted physical row.
-        Harmless if the insert then fails validation — a ``(0, None)``
-        baseline describes a row that does not exist, and pruning drops
-        it."""
-        for offset in range(count):
-            self.ensure_baseline(self._next_rowid + offset, None)
 
     def note_committed(self, rowid: int, before: Row | None,
                        after: Row | None, seq: int) -> None:
@@ -448,7 +376,7 @@ class Table:
         for rowid, row in self._rows.items():
             index.add(rowid, row.get(column))
         self._indexes[column] = index
-        self._metric("storage_indexes_built_total", kind=kind).inc()
+        self.metric("storage_indexes_built_total", kind=kind).inc()
         return index
 
     def index_on(self, column: str) -> Index | None:

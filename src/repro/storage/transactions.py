@@ -4,7 +4,7 @@ The engine supports one open transaction *per thread* and any number of
 threads: every session gets its own undo log and write-ahead journal
 buffer, rows touched by an uncommitted transaction are claimed under
 first-writer-wins conflict rules (see
-:meth:`repro.storage.database.Database._claim_row`), and commits are
+:meth:`repro.storage.database.Database._claim_rows`), and commits are
 serialized through the database's write lock so the journal records one
 consistent history.  Databases expose the ergonomic form::
 
@@ -139,6 +139,9 @@ class Transaction:
     # -- terminal operations ---------------------------------------------
 
     def commit(self) -> None:
+        """Journal and publish every write.  If the journal append
+        raises, the transaction stays open, its claims held and nothing
+        published, so the caller may retry or roll back."""
         if self._state != "open":
             raise TransactionError(f"cannot commit a {self._state} transaction")
         self._database._commit_transaction(self)
@@ -172,12 +175,20 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        """Commit a block that finished, roll back one that raised.  A
+        commit that fails (say, its journal append) rolls back too, then
+        re-raises: a ``with`` block never leaves its transaction open."""
         if self._state != "open":
             return False
-        if exc_type is None:
-            self.commit()
-        else:
+        if exc_type is not None:
             self.rollback()
+            return False
+        try:
+            self.commit()
+        except BaseException:  # noqa: BLE001 - roll back on any failed commit
+            if self._state == "open":
+                self.rollback()
+            raise
         return False
 
     def __repr__(self) -> str:

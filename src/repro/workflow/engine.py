@@ -49,6 +49,7 @@ durations accumulate.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +67,9 @@ __all__ = ["SimulatedClock", "RunResult", "WorkflowEngine"]
 #: aware means every clock-derived instant serializes with its offset.
 DEFAULT_EPOCH = _dt.datetime(2013, 11, 12, 19, 58, 9,
                              tzinfo=_dt.timezone.utc)
+
+#: Workflow run ids read ``run-0001``, ``run-0002``, ...
+RUN_PREFIX = "run"
 
 
 class SimulatedClock:
@@ -215,10 +219,18 @@ class WorkflowEngine:
         self.telemetry = telemetry or get_telemetry()
         self.max_workers = max_workers
         self.cache = cache
-        self._run_counter = 0
-        self._counter_lock = threading.Lock()
+        #: ``workflow name -> new run id``.  An engine numbers its own
+        #: runs until :meth:`ProvenanceManager.attach
+        #: <repro.provenance.manager.ProvenanceManager.attach>` points it
+        #: at the repository's allocator, so every engine writing to one
+        #: repository draws from one sequence.
+        self.run_id_source: Callable[[str], str] = self._own_run_id
+        self._own_numbers = itertools.count(1)
         self._listeners: list[Callable[[str, dict[str, Any]], None]] = []
         self.telemetry.events.attach(self)
+
+    def _own_run_id(self, workflow_name: str) -> str:
+        return f"{RUN_PREFIX}-{next(self._own_numbers):04d}"
 
     # ------------------------------------------------------------------
     # listeners (the Provenance Manager subscribes here)
@@ -263,9 +275,7 @@ class WorkflowEngine:
                 f"missing workflow inputs: {sorted(missing)}"
             )
 
-        with self._counter_lock:
-            self._run_counter += 1
-            run_id = f"run-{self._run_counter:04d}"
+        run_id = self.run_id_source(workflow.name)
         wall_started = time.perf_counter()
         trace = WorkflowTrace(run_id, workflow.name, self.clock.now())
         trace.inputs = dict(inputs)

@@ -18,8 +18,8 @@ def table():
         Column("id", ct.INTEGER),
         Column("year", ct.INTEGER),
     ], primary_key="id"))
-    for i in range(10):
-        t.insert({"id": i, "year": 1990 + i})
+    t.apply_prepared(t.prepare_rows(
+        {"id": i, "year": 1990 + i} for i in range(10)))
     return t
 
 

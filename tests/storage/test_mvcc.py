@@ -424,13 +424,13 @@ class TestAutocommitSnapshotRace:
         rowid = db.rowid_for("t", 1)
         snap = db.snapshot()
         seen = {}
-        original = Table.update_row
+        original = Table.restore_update
 
-        def spying_update_row(table, rid, changes):
+        def spying_restore_update(table, rid, row):
             seen["pinned"] = rid in table._history
-            return original(table, rid, changes)
+            return original(table, rid, row)
 
-        monkeypatch.setattr(Table, "update_row", spying_update_row)
+        monkeypatch.setattr(Table, "restore_update", spying_restore_update)
         db.update("t", rowid, {"v": "post"})
         assert seen["pinned"] is True
         assert snap.table("t").row_by_id(rowid)["v"] == "one"
@@ -440,13 +440,13 @@ class TestAutocommitSnapshotRace:
         rowid = db.rowid_for("t", 2)
         snap = db.snapshot()
         seen = {}
-        original = Table.delete_row
+        original = Table.restore_delete
 
-        def spying_delete_row(table, rid):
+        def spying_restore_delete(table, rid):
             seen["pinned"] = rid in table._history
             return original(table, rid)
 
-        monkeypatch.setattr(Table, "delete_row", spying_delete_row)
+        monkeypatch.setattr(Table, "restore_delete", spying_restore_delete)
         db.delete("t", rowid)
         assert seen["pinned"] is True
         assert snap.table("t").row_by_id(rowid)["v"] == "two"
@@ -456,13 +456,13 @@ class TestAutocommitSnapshotRace:
             self, db, monkeypatch):
         snap = db.snapshot()
         seen = {}
-        original = Table.insert
+        original = Table.apply_prepared
 
-        def spying_insert(table, values):
+        def spying_apply_prepared(table, prepared):
             seen["pinned"] = table._next_rowid in table._history
-            return original(table, values)
+            return original(table, prepared)
 
-        monkeypatch.setattr(Table, "insert", spying_insert)
+        monkeypatch.setattr(Table, "apply_prepared", spying_apply_prepared)
         rowid = db.insert("t", {"id": 3, "v": "three", "n": 30})
         assert seen["pinned"] is True
         with pytest.raises(RowNotFoundError):

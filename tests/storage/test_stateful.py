@@ -1,13 +1,20 @@
 """Model-based testing of the storage engine.
 
 A hypothesis state machine drives the :class:`Database` through random
-sequences of inserts, updates, deletes, index creations, transactions
-(committed and rolled back) and full journal recoveries, checking after
+sequences of inserts, updates, deletes, batch and predicate statements,
+index creations, transactions (committed and rolled back), statements
+whose journal append fails, and full journal recoveries, checking after
 every step that the engine's visible state equals a trivial dict-based
 reference model.
+
+``REPRO_STATEFUL_BUDGET`` sets the search budget as
+``<examples>x<steps>`` (default ``25x30``; CI's smoke job runs a deeper
+one).
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 from hypothesis import settings
@@ -19,7 +26,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.errors import ConstraintViolation
+from repro.errors import ConstraintViolation, RowNotFoundError
 from repro.storage import Column, Database, TableSchema, col
 from repro.storage import column_types as ct
 
@@ -78,6 +85,97 @@ class StorageMachine(RuleBasedStateMachine):
         if pk in self.model:
             self.db.delete("t", self.db.rowid_for("t", pk))
             del self.model[pk]
+
+    @rule(rows=st.lists(st.tuples(st.integers(0, 30), st.text(max_size=8)),
+                        max_size=4))
+    def bulk_load(self, rows):
+        pks = [pk for pk, __ in rows]
+        batch = [{"pk": pk, "name": name, "score": None} for pk, name in rows]
+        if len(set(pks)) < len(pks) or self.model.keys() & set(pks):
+            # one bad row rejects the whole batch
+            with pytest.raises(ConstraintViolation):
+                self.db.bulk_load("t", batch)
+        else:
+            self.db.bulk_load("t", batch)
+            self.model.update((pk, (name, None)) for pk, name in rows)
+
+    @rule(low=st.integers(0, 30), high=st.integers(0, 30),
+          name=st.text(max_size=8))
+    def update_where(self, low, high, name):
+        matched = self._between(low, high)
+        assert self.db.update_where("t", col("pk").between(low, high),
+                                    {"name": name}) == len(matched)
+        for pk in matched:
+            self.model[pk] = (name, self.model[pk][1])
+
+    @rule(low=st.integers(0, 30), high=st.integers(0, 30),
+          new_pk=st.integers(0, 30))
+    def update_where_primary_key(self, low, high, new_pk):
+        matched = self._between(low, high)
+        taken = self.model.keys() - set(matched)
+        predicate = col("pk").between(low, high)
+        if len(matched) > 1 or (matched and new_pk in taken):
+            # every match cannot take one unique value: nothing moves
+            with pytest.raises(ConstraintViolation):
+                self.db.update_where("t", predicate, {"pk": new_pk})
+            return
+        assert self.db.update_where("t", predicate,
+                                    {"pk": new_pk}) == len(matched)
+        for pk in matched:
+            self.model[new_pk] = self.model.pop(pk)
+
+    @rule(low=st.integers(0, 30), high=st.integers(0, 30))
+    def delete_where(self, low, high):
+        matched = self._between(low, high)
+        assert self.db.delete_where(
+            "t", col("pk").between(low, high)) == len(matched)
+        for pk in matched:
+            del self.model[pk]
+
+    @rule(statement=st.sampled_from(
+              ["insert", "bulk_load", "update", "delete", "update_where",
+               "delete_where"]),
+          pk=st.integers(0, 30))
+    def failing_append(self, statement, pk):
+        """The journal's next append raises: the statement must change
+        nothing, leave no transaction open, and later recovery must
+        still rebuild the model."""
+        if self.journal_path is None:
+            return
+        journal = self.db.journal
+
+        def boom(*args):
+            del journal.append, journal.append_many
+            raise OSError("disk full")
+
+        journal.append = journal.append_many = boom
+        row = {"pk": pk, "name": "lost", "score": None}
+        everything = col("pk") >= 0
+        run = {
+            "insert": lambda: self.db.insert("t", row),
+            "bulk_load": lambda: self.db.bulk_load("t", [row]),
+            "update": lambda: self.db.update(
+                "t", self.db.rowid_for("t", pk), {"name": "lost"}),
+            "delete": lambda: self.db.delete(
+                "t", self.db.rowid_for("t", pk)),
+            "update_where": lambda: self.db.update_where(
+                "t", everything, {"name": "lost"}),
+            "delete_where": lambda: self.db.delete_where("t", everything),
+        }[statement]
+        try:
+            run()
+        except (OSError, ConstraintViolation, RowNotFoundError):
+            pass
+        finally:
+            if "append" in vars(journal):  # the statement never appended
+                del journal.append, journal.append_many
+        assert self.db.active_transactions() == 0
+        assert self._visible(self.db) == self.model
+        recovered = Database.recover("state", self.journal_path)
+        assert self._visible(recovered) == self.model
+
+    def _between(self, low, high):
+        return sorted(pk for pk in self.model if low <= pk <= high)
 
     @rule(kind=st.sampled_from(["hash", "sorted"]),
           column=st.sampled_from(["name", "score"]))
@@ -142,6 +240,9 @@ class StorageMachine(RuleBasedStateMachine):
         assert got == expected
 
 
+EXAMPLES, STEPS = (int(part) for part in os.environ.get(
+    "REPRO_STATEFUL_BUDGET", "25x30").split("x"))
+
 TestStorageStateMachine = StorageMachine.TestCase
 TestStorageStateMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
+    max_examples=EXAMPLES, stateful_step_count=STEPS, deadline=None)

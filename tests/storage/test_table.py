@@ -1,4 +1,10 @@
-"""Table mutation, constraints and index maintenance."""
+"""Table mutation, constraints and index maintenance.
+
+The table validates a statement whole (``prepare_rows`` /
+``prepare_update``) and then writes it (``apply_prepared`` /
+``restore_update`` / ``restore_delete``); the helpers below run one-row
+statements through those primitives the way ``Database`` does.
+"""
 
 import datetime as dt
 
@@ -13,6 +19,24 @@ from repro.storage import Column, Table, TableSchema
 from repro.storage import column_types as ct
 
 
+def insert(table, values):
+    [rowid] = table.apply_prepared(table.prepare_rows([values]))
+    return rowid
+
+
+def update(table, rowid, changes):
+    [after] = table.prepare_update([(rowid, table.row_by_id(rowid))],
+                                   changes)
+    table.restore_update(rowid, after)
+    return after
+
+
+def delete(table, rowid):
+    row = table.row_by_id(rowid)
+    table.restore_delete(rowid)
+    return row
+
+
 @pytest.fixture()
 def table():
     return Table(TableSchema("species", [
@@ -25,52 +49,52 @@ def table():
 
 class TestInsert:
     def test_returns_rowids_in_order(self, table):
-        assert table.insert({"id": 1, "name": "a"}) == 1
-        assert table.insert({"id": 2, "name": "b"}) == 2
+        assert insert(table, {"id": 1, "name": "a"}) == 1
+        assert insert(table, {"id": 2, "name": "b"}) == 2
 
     def test_default_applied(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
+        rowid = insert(table, {"id": 1, "name": "a"})
         assert table.row_by_id(rowid)["year"] == 2000
 
     def test_explicit_value_beats_default(self, table):
-        rowid = table.insert({"id": 1, "name": "a", "year": 1975})
+        rowid = insert(table, {"id": 1, "name": "a", "year": 1975})
         assert table.row_by_id(rowid)["year"] == 1975
 
     def test_not_null_enforced(self, table):
         with pytest.raises(ConstraintViolation, match="NOT NULL"):
-            table.insert({"id": 1, "name": None})
+            insert(table, {"id": 1, "name": None})
 
     def test_unique_enforced(self, table):
-        table.insert({"id": 1, "name": "a"})
+        insert(table, {"id": 1, "name": "a"})
         with pytest.raises(ConstraintViolation, match="UNIQUE"):
-            table.insert({"id": 2, "name": "a"})
+            insert(table, {"id": 2, "name": "a"})
 
     def test_primary_key_unique(self, table):
-        table.insert({"id": 1, "name": "a"})
+        insert(table, {"id": 1, "name": "a"})
         with pytest.raises(ConstraintViolation, match="UNIQUE"):
-            table.insert({"id": 1, "name": "b"})
+            insert(table, {"id": 1, "name": "b"})
 
     def test_check_enforced(self, table):
         with pytest.raises(ConstraintViolation, match="CHECK"):
-            table.insert({"id": 1, "name": "a", "score": 1.5})
+            insert(table, {"id": 1, "name": "a", "score": 1.5})
 
     def test_check_allows_valid(self, table):
-        table.insert({"id": 1, "name": "a", "score": 0.5})
+        insert(table, {"id": 1, "name": "a", "score": 0.5})
 
     def test_type_coercion_on_insert(self, table):
-        rowid = table.insert({"id": "3", "name": "a"})
+        rowid = insert(table, {"id": "3", "name": "a"})
         assert table.row_by_id(rowid)["id"] == 3
 
     def test_uncoercible_raises_type_violation(self, table):
         with pytest.raises(ConstraintViolation, match="TYPE"):
-            table.insert({"id": "xyz", "name": "a"})
+            insert(table, {"id": "xyz", "name": "a"})
 
     def test_unknown_column_rejected(self, table):
         with pytest.raises(UnknownColumnError):
-            table.insert({"id": 1, "name": "a", "bogus": 1})
+            insert(table, {"id": 1, "name": "a", "bogus": 1})
 
     def test_rows_are_copies(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
+        rowid = insert(table, {"id": 1, "name": "a"})
         row = table.row_by_id(rowid)
         row["name"] = "mutated"
         assert table.row_by_id(rowid)["name"] == "a"
@@ -78,64 +102,64 @@ class TestInsert:
 
 class TestUpdate:
     def test_partial_update(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        after = table.update_row(rowid, {"year": 1990})
+        rowid = insert(table, {"id": 1, "name": "a"})
+        after = update(table, rowid, {"year": 1990})
         assert after["year"] == 1990
         assert after["name"] == "a"
 
     def test_update_missing_row(self, table):
         with pytest.raises(RowNotFoundError):
-            table.update_row(99, {"year": 1})
+            update(table, 99, {"year": 1})
 
     def test_update_cannot_violate_unique(self, table):
-        table.insert({"id": 1, "name": "a"})
-        rowid = table.insert({"id": 2, "name": "b"})
+        insert(table, {"id": 1, "name": "a"})
+        rowid = insert(table, {"id": 2, "name": "b"})
         with pytest.raises(ConstraintViolation, match="UNIQUE"):
-            table.update_row(rowid, {"name": "a"})
+            update(table, rowid, {"name": "a"})
 
     def test_update_to_same_value_allowed(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        table.update_row(rowid, {"name": "a"})
+        rowid = insert(table, {"id": 1, "name": "a"})
+        update(table, rowid, {"name": "a"})
 
     def test_update_keeps_indexes_consistent(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        table.update_row(rowid, {"name": "z"})
+        rowid = insert(table, {"id": 1, "name": "a"})
+        update(table, rowid, {"name": "z"})
         index = table.index_on("name")
         assert index.lookup("a") == set()
         assert index.lookup("z") == {rowid}
 
     def test_update_not_null(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
+        rowid = insert(table, {"id": 1, "name": "a"})
         with pytest.raises(ConstraintViolation, match="NOT NULL"):
-            table.update_row(rowid, {"name": None})
+            update(table, rowid, {"name": None})
 
 
 class TestDelete:
     def test_delete_returns_row(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        deleted = table.delete_row(rowid)
+        rowid = insert(table, {"id": 1, "name": "a"})
+        deleted = delete(table, rowid)
         assert deleted["name"] == "a"
         assert len(table) == 0
 
     def test_delete_missing(self, table):
         with pytest.raises(RowNotFoundError):
-            table.delete_row(5)
+            delete(table, 5)
 
     def test_delete_clears_indexes(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        table.delete_row(rowid)
+        rowid = insert(table, {"id": 1, "name": "a"})
+        delete(table, rowid)
         assert table.index_on("name").lookup("a") == set()
 
     def test_unique_value_reusable_after_delete(self, table):
-        rowid = table.insert({"id": 1, "name": "a"})
-        table.delete_row(rowid)
-        table.insert({"id": 2, "name": "a"})
+        rowid = insert(table, {"id": 1, "name": "a"})
+        delete(table, rowid)
+        insert(table, {"id": 2, "name": "a"})
 
 
 class TestSecondaryIndexes:
     def test_create_index_backfills(self, table):
-        table.insert({"id": 1, "name": "a", "year": 1970})
-        table.insert({"id": 2, "name": "b", "year": 1980})
+        insert(table, {"id": 1, "name": "a", "year": 1970})
+        insert(table, {"id": 2, "name": "b", "year": 1980})
         index = table.create_index("year", "sorted")
         assert set(index.range(1975, None)) == {2}
 
@@ -150,12 +174,12 @@ class TestSecondaryIndexes:
 
     def test_candidate_rowids_uses_index(self, table):
         for i in range(10):
-            table.insert({"id": i, "name": f"n{i}", "year": 1970 + i})
+            insert(table, {"id": i, "name": f"n{i}", "year": 1970 + i})
         candidates = table.candidate_rowids({"name": "n3"}, {})
         assert candidates is not None and len(candidates) == 1
 
     def test_candidate_rowids_none_without_index(self, table):
-        table.insert({"id": 1, "name": "a"})
+        insert(table, {"id": 1, "name": "a"})
         assert table.candidate_rowids({"year": 2000}, {}) is None
 
 
@@ -165,7 +189,7 @@ class TestRestoreOperations:
                                   "score": None})
         assert table.row_by_id(42)["name"] == "a"
         # next natural insert gets a later id
-        rowid = table.insert({"id": 2, "name": "b"})
+        rowid = insert(table, {"id": 2, "name": "b"})
         assert rowid == 43
 
     def test_restore_insert_collision(self, table):
@@ -183,8 +207,8 @@ class TestRestoreOperations:
 
 class TestStateRoundTrip:
     def test_dump_and_load(self, table):
-        table.insert({"id": 1, "name": "a", "year": 1970, "score": 0.5})
-        table.insert({"id": 2, "name": "b"})
+        insert(table, {"id": 1, "name": "a", "year": 1970, "score": 0.5})
+        insert(table, {"id": 2, "name": "b"})
         table.create_index("year", "sorted")
         restored = Table.load_state(table.dump_state())
         assert len(restored) == 2
@@ -192,12 +216,12 @@ class TestStateRoundTrip:
         assert restored.index_on("year") is not None
         # constraints still live after restore
         with pytest.raises(ConstraintViolation):
-            restored.insert({"id": 3, "name": "a"})
+            insert(restored, {"id": 3, "name": "a"})
 
     def test_dates_survive(self):
         table = Table(TableSchema("t", [
             Column("id", ct.INTEGER), Column("d", ct.DATE),
         ], primary_key="id"))
-        table.insert({"id": 1, "d": dt.date(1975, 6, 30)})
+        insert(table, {"id": 1, "d": dt.date(1975, 6, 30)})
         restored = Table.load_state(table.dump_state())
         assert restored.row_by_id(1)["d"] == dt.date(1975, 6, 30)
